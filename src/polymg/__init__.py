@@ -8,7 +8,7 @@ from .stencils import (GridGeometry, Stencil, build_fd_laplace,
 from .symbols import (FrequencySampling, JACOBI, L1_JACOBI, evaluate_symbol,
                       lambda_bounds, preconditioned_symbol,
                       preconditioner_symbol, sample_frequencies)
-from .polynomials import (BA1X, CHEBYSHEV, SA, SmootherSpec, cheb_T, cheb_U,
+from .polynomials import (BA1X, CHEBYSHEV, SA, SmootherSpec,
                           ba1x_endpoint_errors, error_poly, min_degree,
                           optimal_lambda0_smoothing, q_value)
 from .smallmat import matmul, spectral_radius
@@ -19,8 +19,7 @@ from .lfa import (GALERKIN, REDISCRETIZED, HarmonicBlock, TwoGridConfig,
                   two_grid_block)
 from .multigrid import (CycleSpec, GridLevel, Multigrid, apply_operator,
                         apply_smoother, make_grid_level,
-                        measure_asymptotic_rate, prolongate, restrict,
-                        run_cycle)
+                        measure_asymptotic_rate, prolongate, restrict)
 from .tables import reproduce_table
 
 __all__ = [
@@ -29,7 +28,7 @@ __all__ = [
     "FrequencySampling", "JACOBI", "L1_JACOBI", "evaluate_symbol",
     "lambda_bounds", "preconditioned_symbol", "preconditioner_symbol",
     "sample_frequencies",
-    "BA1X", "CHEBYSHEV", "SA", "SmootherSpec", "cheb_T", "cheb_U",
+    "BA1X", "CHEBYSHEV", "SA", "SmootherSpec",
     "ba1x_endpoint_errors", "error_poly", "min_degree",
     "optimal_lambda0_smoothing", "q_value",
     "matmul", "spectral_radius",
@@ -39,6 +38,6 @@ __all__ = [
     "smoother_symbol", "smoothing_factor", "two_grid_block",
     "CycleSpec", "GridLevel", "Multigrid", "apply_operator",
     "apply_smoother", "make_grid_level", "measure_asymptotic_rate",
-    "prolongate", "restrict", "run_cycle",
+    "prolongate", "restrict",
     "reproduce_table",
 ]

@@ -46,8 +46,8 @@ def _add_stencil_flags(p: argparse.ArgumentParser) -> None:
 def _add_smoother_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True,
                    choices=sorted(FAMILY_ALIASES), help="smoother family")
-    p.add_argument("--degree", type=int, help="approximant degree "
-                   "(defaults to the minimal ba1x degree for --rho)")
+    p.add_argument("--degree", type=int, help="approximant degree (required, "
+                   "except by optimize --objective degree, which computes it)")
     p.add_argument("--lambda0", default="auto",
                    help="'auto' (LFA bound), 'opt' (min-max optimum), or a number")
     p.add_argument("--lambda1", default="auto",
@@ -340,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (CliError, ValueError, OSError) as err:
+    except (CliError, ValueError, OSError, RuntimeError) as err:
         json.dump({"error": type(err).__name__, "message": str(err)},
                   sys.stderr)
         sys.stderr.write("\n")

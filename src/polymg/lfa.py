@@ -70,7 +70,6 @@ class HarmonicBlock:
     fine_symbols: np.ndarray         # A~(theta^alpha), complex
     smoother_symbols: np.ndarray     # e(X~(theta^alpha)), real
     prolongation: np.ndarray         # P~(theta^alpha) (value 2^{kd} at 0)
-    restriction: np.ndarray          # conj(P~)^T
     coarse_symbol: complex           # A~_{2^k h}(theta^0)
 
 
@@ -189,7 +188,6 @@ def harmonic_block(cfg: TwoGridConfig, theta0: np.ndarray) -> HarmonicBlock:
         fine_symbols=fine,
         smoother_symbols=np.asarray(smoother_symbol(cfg.smoother, xt)),
         prolongation=prol,
-        restriction=np.conj(prol),
         coarse_symbol=0.0,
     )
     block.coarse_symbol = coarse_symbol(block, cfg.coarse_mode, st, cfg.k)

@@ -3,13 +3,13 @@
 Dirichlet boundary, interior-only vectors with 2^p - 1 points per axis,
 2^k coarsening with piecewise-multilinear transfers (hat weights
 1 - |j|/2^k per axis; restriction is the adjoint scaled by 2^{-kd}).
-Smoothers are applied through three-term operator recurrences so a
-degree-m polynomial costs m operator applications.
+Smoothers run the recurrence of ``polynomials.apply_q`` with X = R0 A, the
+same code the Fourier symbols use, so a degree-m polynomial costs m
+operator applications (m + 1 per smoothing step with its residual).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .lfa import GALERKIN, REDISCRETIZED
-from .polynomials import (BA1X, CHEBYSHEV, SA, SmootherSpec, cheb_T,
-                          is_admissible, sa_q_coefficients)
+from .polynomials import SmootherSpec, apply_q, is_admissible
 from .stencils import Stencil, build_fd_laplace, rectangular
 from .symbols import JACOBI, preconditioner_symbol
 
@@ -293,45 +292,9 @@ class Multigrid:
 
 def _apply_polynomial(lev: _Level, spec: SmootherSpec, preconditioner: str,
                       r: np.ndarray) -> np.ndarray:
-    """R r = q(R0 A) R0 r via the family's operator recurrence."""
-    r0r = lev.r0(preconditioner, r)
-    deg = spec.degree
-    if spec.family == CHEBYSHEV:
-        lam0, lam1 = spec.lambda0, spec.lambda1
-        zeta = 2.0 / (lam1 + lam0)
-        a = (lam1 + lam0) / (lam1 - lam0)
-        t = [float(cheb_T(j, np.array(a))) for j in range(deg + 2)]
-        v_prev = zeta * r0r                       # q_0 = zeta
-        if deg == 0:
-            return v_prev
-        v = (4 * zeta * a**2 * r0r
-             - 2 * zeta**2 * a**2 * lev.r0(preconditioner, lev.apply(r0r))) \
-            / (2 * a**2 - 1)
-        for j in range(2, deg + 1):
-            rbar = lev.r0(preconditioner, r - lev.apply(v))
-            v, v_prev = (v + t[j - 1] / t[j + 1] * (v - v_prev)
-                         + 2 * zeta * a * t[j] / t[j + 1] * rbar), v
-        return v
-    if spec.family == BA1X:
-        lam0, lam1 = spec.lambda0, spec.lambda1
-        mu0, mu1 = 1.0 / lam1, 1.0 / lam0
-        kappa = lam1 / lam0
-        delta = (math.sqrt(kappa) - 1) / (math.sqrt(kappa) + 1)
-        c = 4 * mu0 * mu1 / (math.sqrt(mu0) + math.sqrt(mu1)) ** 2
-        v_prev = 0.5 * (mu0 + mu1) * r0r          # p_0
-        if deg == 0:
-            return v_prev
-        v = 0.5 * (math.sqrt(mu0) + math.sqrt(mu1)) ** 2 * r0r \
-            - mu0 * mu1 * lev.r0(preconditioner, lev.apply(r0r))
-        for _ in range(deg - 1):
-            rbar = lev.r0(preconditioner, r - lev.apply(v))
-            v, v_prev = v + delta**2 * (v - v_prev) + c * rbar, v
-        return v
-    coeffs = sa_q_coefficients(deg, spec.lambda1)  # SA: Horner on q
-    v = coeffs[-1] * r0r
-    for cj in coeffs[-2::-1]:
-        v = lev.r0(preconditioner, lev.apply(v)) + cj * r0r
-    return v
+    """R r = q(R0 A) R0 r: ``degree`` operator applications."""
+    return apply_q(spec, lev.r0(preconditioner, r),
+                   lambda v: lev.r0(preconditioner, r - lev.apply(v)))
 
 
 def apply_smoother(level: GridLevel, spec: SmootherSpec, preconditioner: str,
@@ -340,19 +303,6 @@ def apply_smoother(level: GridLevel, spec: SmootherSpec, preconditioner: str,
     if not is_admissible(spec):
         raise ValueError("inadmissible smoother spec (max |e| >= 1)")
     return _apply_polynomial(_Level(level), spec, preconditioner, r)
-
-
-def run_cycle(spec: CycleSpec, rhs: np.ndarray, u0: np.ndarray) -> np.ndarray:
-    """One multigrid iteration on a freshly built hierarchy.
-
-    Convenience wrapper; reuse a Multigrid instance when iterating (the
-    coarsest-level factorization is cached there).
-    """
-    shape = rhs.shape
-    if len(set(shape)) != 1:
-        raise ValueError("expected a cubic interior block")
-    mg = Multigrid(spec, shape[0], rhs.ndim)
-    return mg.cycle(rhs, u0)
 
 
 @dataclass

@@ -1,10 +1,25 @@
-"""The three polynomial smoother families as scalar error polynomials.
+"""The three polynomial smoother families and their one recurrence.
 
 Every family is described by its error polynomial e(x) = 1 - x*q(x) with
 e(0) = 1; q approximates 1/x on the smoothing interval.  Chebyshev is the
 scaled/shifted classical polynomial, "sa" the smoothed-aggregation
 polynomial (no lower interval end), and "ba1x" the best uniform
-approximation to 1/x built by a three-term recurrence.
+approximation to 1/x.
+
+All three are evaluated by one three-term recurrence (``apply_q``) that
+the symbols (X a scalar) and the multigrid solver (X = R0 A) share; the
+families differ only in its coefficients (gamma, alpha_j, beta_j):
+
+* Chebyshev (Saad, Iterative Methods, Alg. 12.1): gamma = zeta =
+  2/(lambda1+lambda0), a = (lambda1+lambda0)/(lambda1-lambda0),
+  alpha_j = T_j(a)/T_{j+2}(a), beta_j = 2 zeta a T_{j+1}(a)/T_{j+2}(a),
+  with the T ratios from their own scalar recurrence.
+* SA: the odd-Chebyshev recurrence T_{2j+3} = 2 T_2 T_{2j+1} - T_{2j-1}
+  in u^2 = x/lambda1: gamma = 4/(3 lambda1), alpha_j = (2j-1)/(2j+3),
+  beta_j = 4(2j+1)/((2j+3) lambda1) for j = 1..degree.
+* ba1x: gamma = (mu0+mu1)/2; the first step reproduces p_1 =
+  (sqrt(mu0)+sqrt(mu1))^2/2 - mu0 mu1 x, every later one has alpha_j =
+  delta^2 and beta_j = c.
 
 The recurrence constant for ba1x is c = 4*mu0*mu1/(sqrt(mu0)+sqrt(mu1))^2
 = (1+delta)^2/lambda1.  Only this value keeps the recurrence consistent
@@ -25,56 +40,6 @@ CHEBYSHEV = "chebyshev"
 SA = "sa"
 BA1X = "ba1x"
 FAMILIES = (CHEBYSHEV, SA, BA1X)
-
-
-def cheb_T(k: int, t) -> np.ndarray | float:
-    """First-kind Chebyshev value T_k(t).
-
-    Three-term recurrence inside [-1, 1]; the hyperbolic closed form
-    0.5*((t-sqrt(t^2-1))^k + (t+sqrt(t^2-1))^k) outside, which avoids the
-    recurrence's cancellation for |t| > 1.
-    """
-    if k < 0:
-        raise ValueError("cheb_T needs k >= 0")
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    inside = np.abs(t) <= 1.0
-    ti = t[inside]
-    tp, tc = np.ones_like(ti), ti.copy()
-    if k == 0:
-        tc = tp
-    for _ in range(k - 1):
-        tp, tc = tc, 2 * ti * tc - tp
-    out[inside] = tc
-    to = t[~inside]
-    a = np.abs(to)
-    s = np.sqrt(a * a - 1.0)
-    out[~inside] = np.sign(to) ** k * 0.5 * ((a - s) ** k + (a + s) ** k)
-    return out if out.ndim else float(out)
-
-
-def cheb_U(k: int, t) -> np.ndarray | float:
-    """Second-kind Chebyshev value U_k(t) (U_{-1} = 0)."""
-    if k < -1:
-        raise ValueError("cheb_U needs k >= -1")
-    t = np.asarray(t, dtype=float)
-    if k == -1:
-        out = np.zeros_like(t)
-        return out if out.ndim else 0.0
-    out = np.empty_like(t)
-    inside = np.abs(t) <= 1.0
-    ti = t[inside]
-    up, uc = np.ones_like(ti), 2 * ti
-    if k == 0:
-        uc = up
-    for _ in range(k - 1):
-        up, uc = uc, 2 * ti * uc - up
-    out[inside] = uc
-    to = t[~inside]
-    a = np.abs(to)
-    s = np.sqrt(a * a - 1.0)
-    out[~inside] = np.sign(to) ** k * ((a + s) ** (k + 1) - (a - s) ** (k + 1)) / (2 * s)
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -128,75 +93,60 @@ def _ba1x_constants(lam0: float, lam1: float) -> tuple[float, float, float, floa
     return mu0, mu1, delta, c
 
 
-def ba1x_approximant(m: int, lam0: float, lam1: float, x) -> np.ndarray:
-    """Best uniform approximation p_m(x) to 1/x on [lam0, lam1].
-
-    Seeds: p_0 = (mu0+mu1)/2, p_1 = (sqrt(mu0)+sqrt(mu1))^2/2 - mu0*mu1*x;
-    then p_{j+1} = p_j + delta^2 (p_j - p_{j-1}) + c (1 - x p_j).
-    Stable for x in [0, lambda1].
-    """
-    x = np.asarray(x, dtype=float)
+def _recurrence(spec: SmootherSpec) -> tuple[float, list[tuple[float, float]]]:
+    """(gamma, [(alpha_j, beta_j)] for the degree steps) of apply_q."""
+    m, lam0, lam1 = spec.degree, spec.lambda0, spec.lambda1
+    if spec.family == CHEBYSHEV:
+        zeta = 2.0 / (lam1 + lam0)
+        a = (lam1 + lam0) / (lam1 - lam0)
+        steps = []
+        ratio = 1.0 / a                  # T_j(a)/T_{j+1}(a), j = 0
+        for _ in range(m):
+            nxt = 1.0 / (2 * a - ratio)  # T_{j+1}(a)/T_{j+2}(a)
+            steps.append((ratio * nxt, 2 * zeta * a * nxt))
+            ratio = nxt
+        return zeta, steps
+    if spec.family == SA:
+        return 4.0 / (3.0 * lam1), [
+            ((2 * j - 1) / (2 * j + 3), 4 * (2 * j + 1) / ((2 * j + 3) * lam1))
+            for j in range(1, m + 1)]
     mu0, mu1, delta, c = _ba1x_constants(lam0, lam1)
-    p_prev = np.full_like(x, 0.5 * (mu0 + mu1))
-    if m == 0:
-        return p_prev
-    p = 0.5 * (math.sqrt(mu0) + math.sqrt(mu1)) ** 2 - mu0 * mu1 * x
-    for _ in range(m - 1):
-        p, p_prev = p + delta**2 * (p - p_prev) + c * (1.0 - x * p), p
-    return p
+    gamma = 0.5 * (mu0 + mu1)
+    g = 2 * mu0 * mu1 / (mu0 + mu1)
+    s = 0.5 * (math.sqrt(mu0) + math.sqrt(mu1)) ** 2
+    first = ((s - g) / gamma - 1.0, g)  # gives p_1 from p_0 = gamma
+    return gamma, ([first] + [(delta**2, c)] * (m - 1))[:m]
+
+
+def apply_q(spec: SmootherSpec, b, residual):
+    """v = q(X) b by the family's three-term recurrence.
+
+    v_{-1} = 0, v_0 = gamma b and v_{j+1} = v_j + alpha_j (v_j - v_{j-1})
+    + beta_j r_j with r_j = residual(v_j) = b - X v_j, taken ``degree``
+    times.  X is scalar multiplication for the symbols and R0 A for the
+    solver, so both evaluate the same polynomial.
+    """
+    gamma, steps = _recurrence(spec)
+    v_prev, v = 0.0, gamma * b
+    for alpha, beta in steps:
+        # residual in its own statement: inside the update it keeps more
+        # temporaries alive.  The one update expression lets NumPy reuse
+        # its temporaries; carrying a step vector d_j would allocate more.
+        rbar = residual(v)
+        v, v_prev = v + alpha * (v - v_prev) + beta * rbar, v
+    return v
 
 
 def error_poly(spec: SmootherSpec, x) -> np.ndarray:
     """The error polynomial e(x) = 1 - x q(x); e(0) = 1 for every family."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if spec.family == CHEBYSHEV:
-        lam0, lam1 = spec.lambda0, spec.lambda1
-        t = (lam0 + lam1 - 2 * x) / (lam1 - lam0)
-        a = (lam0 + lam1) / (lam1 - lam0)
-        e = cheb_T(spec.degree + 1, t) / cheb_T(spec.degree + 1, np.array(a))
-    elif spec.family == SA:
-        nu = spec.degree
-        n = 2 * nu + 3
-        u = np.sqrt(np.maximum(x, 0.0) / spec.lambda1)
-        e = np.ones_like(x)
-        nz = u > 1e-12
-        # sign chosen so the removable singularity at x=0 has value +1
-        e[nz] = (-1.0) ** (nu + 1) * cheb_T(n, u[nz]) / (n * u[nz])
-    else:
-        e = 1.0 - x * ba1x_approximant(spec.degree, spec.lambda0,
-                                       spec.lambda1, x)
-    return float(e[0]) if scalar else e
+    return 1.0 - x * q_value(spec, x)
 
 
 def q_value(spec: SmootherSpec, x) -> np.ndarray:
-    """The approximant q(x) = (1 - e(x))/x, x > 0."""
+    """The approximant q(x), with e(x) = 1 - x q(x)."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("q_value needs x > 0")
-    if spec.family == BA1X:
-        return ba1x_approximant(spec.degree, spec.lambda0, spec.lambda1, x)
-    return (1.0 - error_poly(spec, x)) / x
-
-
-def sa_q_coefficients(nu: int, lam1: float) -> np.ndarray:
-    """Monomial coefficients of the SA approximant q_nu (index = power).
-
-    Extracted from the odd Chebyshev expansion: e(x) is a polynomial of
-    degree nu+1 in x, so q = (1-e)/x has the coefficients below.  Intended
-    for moderate degrees (operator application); the scalar error formula
-    stays usable at any degree.
-    """
-    n = 2 * nu + 3
-    cheb_basis = np.zeros(n + 1)
-    cheb_basis[n] = 1.0
-    mono = np.polynomial.chebyshev.cheb2poly(cheb_basis)  # T_n coefficients
-    sign = (-1.0) ** (nu + 1)
-    # e(x) = sign/n * sum_j mono[2j+1] (x/lam1)^j
-    e_coeffs = np.array([sign / n * mono[2 * j + 1] / lam1**j
-                         for j in range(nu + 2)])
-    return -e_coeffs[1:]
+    return apply_q(spec, np.ones_like(x), lambda v: 1.0 - x * v)
 
 
 def ba1x_endpoint_errors(m: int, lam: float, lam0: float, lam1: float

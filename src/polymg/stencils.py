@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -139,11 +139,16 @@ class Stencil:
         return True
 
     def with_mesh_width(self, factor: float) -> "Stencil":
-        """The same operator family regenerated at mesh width factor*h."""
-        g = self.geometry
-        if g.kind == RECTANGULAR:
-            return build_fd_laplace(rectangular([w * factor for w in g.h]))
-        return build_fem_tri_laplace(g.alpha, g.beta, g.h[0] * factor)
+        """The same operator at mesh width factor*h.
+
+        Coefficients scale by factor^-2, exact for a second-order stencil
+        with unscaled offsets (and bit-exact for powers of two).
+        """
+        scale = factor ** -2
+        geometry = replace(self.geometry,
+                           h=tuple(w * factor for w in self.geometry.h))
+        return replace(self, geometry=geometry,
+                       coefficients=tuple(c * scale for c in self.coefficients))
 
     def to_dict(self) -> dict:
         return {

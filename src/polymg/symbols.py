@@ -139,13 +139,6 @@ def sample_frequencies(geometry: GridGeometry, k: int,
     return theta[low], theta[~low]
 
 
-def low_midpoint_lattice(geometry: GridGeometry, k: int,
-                         sampling: FrequencySampling) -> np.ndarray:
-    """The low-box sublattice of sample_frequencies (base frequencies)."""
-    low, _ = sample_frequencies(geometry, k, sampling)
-    return low
-
-
 def _polish_max(stencil: Stencil, kind: str, theta0: np.ndarray) -> float:
     """Local refinement of max |X~| from a lattice seed (torus, unconstrained)."""
     def neg(t):

@@ -76,6 +76,95 @@ def _alternating_extrema(err: np.ndarray, count: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# Chebyshev values and the closed-form smoother error polynomials
+# ---------------------------------------------------------------------------
+
+def cheb_T(k: int, t) -> np.ndarray | float:
+    """First-kind Chebyshev value T_k(t).
+
+    Three-term recurrence inside [-1, 1]; the hyperbolic closed form
+    0.5*((t-sqrt(t^2-1))^k + (t+sqrt(t^2-1))^k) outside, which avoids the
+    recurrence's cancellation for |t| > 1.
+    """
+    if k < 0:
+        raise ValueError("cheb_T needs k >= 0")
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    inside = np.abs(t) <= 1.0
+    ti = t[inside]
+    tp, tc = np.ones_like(ti), ti.copy()
+    if k == 0:
+        tc = tp
+    for _ in range(k - 1):
+        tp, tc = tc, 2 * ti * tc - tp
+    out[inside] = tc
+    to = t[~inside]
+    a = np.abs(to)
+    s = np.sqrt(a * a - 1.0)
+    out[~inside] = np.sign(to) ** k * 0.5 * ((a - s) ** k + (a + s) ** k)
+    return out if out.ndim else float(out)
+
+
+def cheb_U(k: int, t) -> np.ndarray | float:
+    """Second-kind Chebyshev value U_k(t) (U_{-1} = 0)."""
+    if k < -1:
+        raise ValueError("cheb_U needs k >= -1")
+    t = np.asarray(t, dtype=float)
+    if k == -1:
+        out = np.zeros_like(t)
+        return out if out.ndim else 0.0
+    out = np.empty_like(t)
+    inside = np.abs(t) <= 1.0
+    ti = t[inside]
+    up, uc = np.ones_like(ti), 2 * ti
+    if k == 0:
+        uc = up
+    for _ in range(k - 1):
+        up, uc = uc, 2 * ti * uc - up
+    out[inside] = uc
+    to = t[~inside]
+    a = np.abs(to)
+    s = np.sqrt(a * a - 1.0)
+    out[~inside] = np.sign(to) ** k * ((a + s) ** (k + 1) - (a - s) ** (k + 1)) / (2 * s)
+    return out if out.ndim else float(out)
+
+
+def closed_form_error(spec, x) -> np.ndarray:
+    """e(x) = 1 - x q(x) of a smoother from its family's closed form.
+
+    Chebyshev: T_{m+1}(t(x))/T_{m+1}(t(0)) on the shifted interval.  SA:
+    (-1)^{m+1} T_{2m+3}(u)/((2m+3) u) with u = sqrt(x/lambda1).  ba1x:
+    -delta^m (1 - x p_0) U_{m-2}(y) + delta^{m-1} (1 - x p_1) U_{m-1}(y)
+    with y = (1 + delta^2 - c x)/(2 delta), for x in [0, lambda1].
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    m, lam0, lam1 = spec.degree, spec.lambda0, spec.lambda1
+    if spec.family == "chebyshev":
+        t = (lam0 + lam1 - 2 * x) / (lam1 - lam0)
+        a = (lam0 + lam1) / (lam1 - lam0)
+        return cheb_T(m + 1, t) / cheb_T(m + 1, np.array(a))
+    if spec.family == "sa":
+        n = 2 * m + 3
+        u = np.sqrt(np.maximum(x, 0.0) / lam1)
+        e = np.ones_like(x)
+        nz = u > 1e-12
+        # sign chosen so the removable singularity at x=0 has value +1
+        e[nz] = (-1.0) ** (m + 1) * cheb_T(n, u[nz]) / (n * u[nz])
+        return e
+    mu0, mu1 = 1.0 / lam1, 1.0 / lam0
+    sq = np.sqrt(lam1 / lam0)
+    delta = (sq - 1) / (sq + 1)
+    c = 4 * mu0 * mu1 / (np.sqrt(mu0) + np.sqrt(mu1)) ** 2
+    e0 = 1.0 - x * 0.5 * (mu0 + mu1)
+    if m == 0:
+        return e0
+    e1 = 1.0 - x * (0.5 * (np.sqrt(mu0) + np.sqrt(mu1)) ** 2 - mu0 * mu1 * x)
+    y = (1.0 + delta**2 - c * x) / (2 * delta)
+    return (-delta**m * e0 * cheb_U(m - 2, y)
+            + delta ** (m - 1) * e1 * cheb_U(m - 1, y))
+
+
+# ---------------------------------------------------------------------------
 # eigenvalues via characteristic polynomial + Durand-Kerner iteration
 # ---------------------------------------------------------------------------
 

@@ -26,7 +26,7 @@ from polymg.tables import (DOCUMENTED_DISCREPANCIES,
                            LAMBDA1_ISOSCELES_COMPUTED, reproduce_table)
 
 from conftest import record_acceptance
-from oracles import remez_reciprocal
+from oracles import closed_form_error, remez_reciprocal
 
 TOL = {"factor": 2e-3, "lambda0": 1e-3, "lambda0_star": 2e-3, "rho": 1e-2,
        "rate": 1.5e-2}
@@ -356,7 +356,8 @@ def test_criterion_9_property_suites(table3, table4, table5):
                               (SA, 3, 0.0)):
         sm = SmootherSpec(family, deg, lam0, 2.0)
         got = apply_smoother(level, sm, JACOBI, r)
-        want = (v @ (q_value(sm, w) * (v.T @ r.ravel()))).reshape(r.shape)
+        q = (1.0 - closed_form_error(sm, w)) / w
+        want = (v @ (q * (v.T @ r.ravel()))).reshape(r.shape)
         assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
 
     # A-norm monotonicity across every acceptance measurement

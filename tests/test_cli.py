@@ -108,6 +108,21 @@ def test_solve_rejects_low_iterations(capsys):
     assert "30" in payload["message"]
 
 
+def test_solve_divergence_is_a_json_error(capsys):
+    # an interval that misses the top of the spectrum diverges; a run-time
+    # error is reported like every other failure
+    code, out, err = run_cli(
+        capsys, "solve", "--stencil", "fd2d", "--family", "ba1x",
+        "--degree", "2", "--lambda0", "0.9", "--lambda1", "1.0",
+        "--n", "31", "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "RuntimeError"
+    assert "divergence" in payload["message"]
+
+
 def test_optimize_degree_objective(capsys):
     kappa, lam1, m = 9.0, 2.0, 7
     delta = (math.sqrt(kappa) - 1) / (math.sqrt(kappa) + 1)

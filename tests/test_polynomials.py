@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polymg import (BA1X, CHEBYSHEV, SA, SmootherSpec, ba1x_endpoint_errors,
-                    cheb_T, cheb_U, error_poly, min_degree,
-                    optimal_lambda0_smoothing, q_value)
-from polymg.polynomials import is_admissible, sa_q_coefficients
+                    error_poly, min_degree, optimal_lambda0_smoothing,
+                    q_value)
+from polymg.polynomials import is_admissible
 
-from oracles import remez_reciprocal
+from oracles import cheb_T, cheb_U, closed_form_error, remez_reciprocal
 
 
 def test_cheb_values():
@@ -45,6 +45,18 @@ def test_cheb_T_monotone_above_one():
 ])
 def test_error_poly_at_zero(spec):
     assert error_poly(spec, 0.0) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", [CHEBYSHEV, SA, BA1X])
+def test_error_poly_matches_closed_forms(family):
+    # the shared recurrence against each family's closed form, up to the
+    # highest table degree
+    x = np.linspace(0.0, 2.0, 2001)
+    for lam0 in (0.038, 0.146, 0.333, 0.5):
+        for degree in range(44):
+            spec = SmootherSpec(family, degree, lam0, 2.0)
+            assert np.max(np.abs(error_poly(spec, x)
+                                 - closed_form_error(spec, x))) < 1e-9
 
 
 def test_error_poly_table_values():
@@ -129,15 +141,6 @@ def test_ba1x_matches_remez_oracle():
     oracle = remez_reciprocal(5, 0.146, 2.0)
     x = np.linspace(0.146, 2.0, 10000)
     assert np.max(np.abs(q_value(spec, x) - oracle(x))) < 1e-8
-
-
-def test_sa_q_coefficients_match_q_value():
-    for nu in (0, 1, 4):
-        spec = SmootherSpec(SA, nu, 0.0, 2.0)
-        coeffs = sa_q_coefficients(nu, 2.0)
-        x = np.linspace(0.05, 2.0, 200)
-        horner = sum(c * x**j for j, c in enumerate(coeffs))
-        assert np.max(np.abs(horner - q_value(spec, x))) < 1e-10
 
 
 def test_endpoint_errors_closed_form():

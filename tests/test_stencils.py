@@ -83,3 +83,24 @@ def test_with_mesh_width_regenerates_family():
     tri_coarse = tri.with_mesh_width(2.0)
     assert tri_coarse.center == pytest.approx(tri.center / 4.0)
     assert tri_coarse.offsets == tri.offsets
+    # power-of-two factors reproduce the builders bit for bit
+    for k in (1, 2, 3):
+        f = 2.0**k
+        for h, d in ((1 / 256, 2), (1 / 64, 3), ((1 / 128, 1 / 32), 2)):
+            g = rectangular(h, d)
+            want = build_fd_laplace(rectangular([w * f for w in g.h]))
+            assert build_fd_laplace(g).with_mesh_width(f) == want
+        alpha, beta = 80 * math.pi / 180, 50 * math.pi / 180
+        assert build_fem_tri_laplace(alpha, beta, 0.1).with_mesh_width(f) \
+            == build_fem_tri_laplace(alpha, beta, 0.1 * f)
+
+
+def test_with_mesh_width_keeps_stencil_entries():
+    # a 9-point stencil stays 9-point on the coarse mesh, scaled by 1/f^2
+    offsets = tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1))
+    coeffs = tuple(8.0 / 3 if o == (0, 0) else -1.0 / 3 for o in offsets)
+    nine = Stencil(rectangular(0.5, 2), offsets, coeffs)
+    coarse = nine.with_mesh_width(4.0)
+    assert coarse.offsets == offsets
+    assert coarse.coefficients == tuple(c / 16 for c in coeffs)
+    assert coarse.geometry.h == (2.0, 2.0)
