@@ -88,6 +88,11 @@ def _resolve_smoother(args, stencil: Stencil, sampling: FrequencySampling
     lam0_auto, lam1_auto = lambda_bounds(stencil, args.preconditioner,
                                          args.k, sampling)
     lam1 = lam1_auto if args.lambda1 == "auto" else float(args.lambda1)
+    # an interval below the spectrum amplifies the modes above its top;
+    # the margin is the one lambda_bounds allows its own lambda1 estimates
+    if lam1 < lam1_auto * (1.0 - 1e-9):
+        raise CliError(f"--lambda1 {lam1!r} is below the LFA lambda1 "
+                       f"{lam1_auto!r} of the stencil")
     degree = args.degree
     if degree is None:
         raise CliError("--degree is required")

@@ -14,21 +14,38 @@ symbol coincides with the rediscretized one whenever the coarse space is
 nested (linear FEM), and the rediscretized mode reproduces smooth modes
 exactly.  Restriction is the adjoint of prolongation, which makes the
 Galerkin-mode correction invariant to any scalar rescaling.
+
+Block spectral radius.  With fine symbols a_i, normalized prolongation
+symbols p_i, coarse symbol a_H and D = diag(s_i^{nu1+nu2}) of the smoother
+symbols s_i, a block S^{nu2} (I - p w^T) S^{nu1} with w_i = p_i a_i / a_H
+has, by cyclic similarity, the spectrum of (I - p w^T) D: a diagonal matrix
+modified by a rank-one term (Golub, SIAM Rev. 15, 1973).  For a symmetric
+stencil a and p are real; where every a_i >= 0, conjugating by A^{1/2}
+gives (I - gamma u u^T) D with u_i = p_i sqrt(a_i) / sqrt(sum_j p_j^2 a_j)
+and gamma = sum_j p_j^2 a_j / a_H, which is 1 in the Galerkin mode.  For
+gamma <= 1, E = I - (1 - sqrt(1 - gamma)) u u^T satisfies E^2 = I - gamma
+u u^T, and eig(E.ED) = eig(ED.E), so the spectrum is that of the real
+symmetric E D E, which ``eigvalsh`` computes.  The rediscretized gamma of
+nested FEM is 1 up to rounding, so gamma <= 1 + GAMMA_ROUNDING is clipped
+to 1.  Every other block (gamma above that, a negative a_i, a
+non-symmetric stencil) is assembled densely and its radius taken by
+``smallmat.spectral_radii``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .polynomials import SmootherSpec, error_poly
-from .smallmat import spectral_radii, spectral_radius
+from .smallmat import spectral_radii
 from .stencils import GridGeometry, RECTANGULAR, Stencil
-from .symbols import (FrequencySampling, JACOBI, evaluate_symbol,
-                      frequency_lattice, high_closure_mask, lambda_bounds,
-                      preconditioned_symbol, preconditioner_symbol,
-                      sample_frequencies)
+from .symbols import (FrequencySampling, JACOBI, fourier_sum,
+                      high_closure_mask, lambda_bounds, lattice_symbol,
+                      preconditioner_symbol, sample_frequencies,
+                      symbol_terms)
 
 GALERKIN = "galerkin"
 REDISCRETIZED = "rediscretized"
@@ -36,6 +53,11 @@ COARSE_MODES = (GALERKIN, REDISCRETIZED)
 
 #: a coarse symbol below this magnitude marks a misconfigured block
 SINGULAR_COARSE_TOL = 1e-14
+#: rediscretized nested-FEM blocks have gamma = 1 up to a few ulps
+GAMMA_ROUNDING = 1e-12
+#: block entries assembled at once: a 3D, k = 3 sweep (512 blocks of
+#: 512 x 512) would otherwise hold gigabytes
+BATCH_ENTRIES = 2**22
 
 
 @dataclass
@@ -63,13 +85,17 @@ class TwoGridConfig:
 
 @dataclass
 class HarmonicBlock:
-    """One coupled group of 2^{kd} frequencies and its per-harmonic symbols."""
+    """Coupled groups of 2^{kd} frequencies and their per-harmonic symbols.
+
+    Built for base frequencies of shape (..., d), every field carries the
+    same leading axes; one low frequency gives one group.
+    """
 
     base: np.ndarray                 # the low frequency theta^0
     harmonics: np.ndarray            # (2^{kd}, d), wrapped
     fine_symbols: np.ndarray         # A~(theta^alpha), complex
     smoother_symbols: np.ndarray     # e(X~(theta^alpha)), real
-    prolongation: np.ndarray         # P~(theta^alpha) (value 2^{kd} at 0)
+    prolongation: np.ndarray         # P~(theta^alpha), real, 2^{kd} at 0
     coarse_symbol: complex           # A~_{2^k h}(theta^0)
 
 
@@ -90,21 +116,32 @@ def smoothing_factor(stencil: Stencil, spec: SmootherSpec, k: int,
     """
     sampling = sampling or FrequencySampling()
     sampling.validate_ratio(k)
-    theta = frequency_lattice(stencil.geometry, sampling)
-    theta = theta[high_closure_mask(stencil.geometry, k, theta)]
-    x = preconditioned_symbol(stencil, preconditioner, theta)
+    theta, x = lattice_symbol(stencil, preconditioner, sampling)
+    x = x[high_closure_mask(stencil.geometry, k, theta)]
     return float(np.max(np.abs(smoother_symbol(spec, x)) ** iterations))
+
+
+@lru_cache(maxsize=16)
+def _alias_shifts(geometry: GridGeometry, k: int) -> np.ndarray:
+    """The 2^{kd} offsets 2 pi j / (2^k h), j in {0..2^k-1}^d (read-only)."""
+    m = 2**k
+    d = geometry.dimension
+    shifts = np.stack(np.meshgrid(*([np.arange(m)] * d), indexing="ij"),
+                      axis=-1).reshape(-1, d)
+    out = 2 * np.pi * shifts / (m * np.asarray(geometry.h))
+    out.flags.writeable = False
+    return out
 
 
 def harmonic_frequencies(geometry: GridGeometry, k: int,
                          theta0: np.ndarray) -> np.ndarray:
-    """The 2^{kd} aliases of a low frequency, wrapped into (-pi/h, pi/h]."""
-    m = 2**k
-    d = geometry.dimension
+    """The 2^{kd} aliases of low frequencies, wrapped into (-pi/h, pi/h].
+
+    ``theta0`` has shape (..., d); the result has shape (..., 2^{kd}, d).
+    """
     h = np.asarray(geometry.h)
-    shifts = np.stack(np.meshgrid(*([np.arange(m)] * d), indexing="ij"),
-                      axis=-1).reshape(-1, d)
-    theta = np.asarray(theta0, dtype=float) + 2 * np.pi * shifts / (m * h)
+    theta = (np.asarray(theta0, dtype=float)[..., None, :]
+             + _alias_shifts(geometry, k))
     span = 2 * np.pi / h
     top = np.pi / h
     return top - np.mod(top - theta, span)
@@ -128,9 +165,17 @@ def prolongation_symbol(theta: np.ndarray, k: int,
                          np.divide(num, den, out=np.full_like(num, float(m)),
                                    where=np.abs(den) >= 1e-15))
         return np.prod(ratio**2, axis=-1) / float(m) ** geometry.dimension
+    return fourier_sum(theta, *_hat_terms(k, geometry.h[0])).real
+
+
+@lru_cache(maxsize=16)
+def _hat_terms(k: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(h*offsets, weights) of the triangular coarse hat (read-only)."""
     offsets, weights = triangular_hat_weights(k)
-    phase = (theta * geometry.h[0]) @ offsets.T
-    return (np.exp(1j * phase) @ weights).real
+    offsets = offsets * h
+    offsets.flags.writeable = False
+    weights.flags.writeable = False
+    return offsets, weights
 
 
 def triangular_hat_weights(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,6 +195,26 @@ def triangular_hat_weights(k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(offsets, dtype=float), np.asarray(weights)
 
 
+def _coarse_values(p: np.ndarray, fine: np.ndarray, base: np.ndarray,
+                   coarse) -> np.ndarray:
+    """Coarse symbols at the base frequencies.
+
+    Galerkin (``coarse`` None) sums conj(p) A p over the harmonics of the
+    normalized inclusion symbols p; otherwise ``coarse`` holds the
+    ``symbol_terms`` of the stencil regenerated at mesh width 2^k h.
+    """
+    if coarse is None:
+        value = np.sum(np.conj(p) * fine * p, axis=-1)
+    else:
+        value = fourier_sum(base, *coarse)
+    if np.min(np.abs(value)) < SINGULAR_COARSE_TOL:
+        raise ValueError(
+            "singular coarse symbol at a base frequency; the sampling "
+            "offset should exclude the zero frequency"
+        )
+    return value
+
+
 def coarse_symbol(block: HarmonicBlock, mode: str, stencil: Stencil,
                   k: int) -> complex:
     """Coarse-grid operator symbol at the block's base frequency.
@@ -161,37 +226,116 @@ def coarse_symbol(block: HarmonicBlock, mode: str, stencil: Stencil,
     if mode not in COARSE_MODES:
         raise ValueError(f"unknown coarse mode {mode!r}")
     m_d = float(2 ** (k * stencil.geometry.dimension))
-    if mode == GALERKIN:
-        p = block.prolongation / m_d
-        value = complex(np.sum(np.conj(p) * block.fine_symbols * p))
-    else:
-        coarse = stencil.with_mesh_width(float(2**k))
-        value = complex(evaluate_symbol(coarse, block.base))
-    if abs(value) < SINGULAR_COARSE_TOL:
-        raise ValueError(
-            f"singular coarse symbol at base frequency {block.base}; "
-            "the sampling offset should exclude the zero frequency"
+    coarse = (None if mode == GALERKIN
+              else symbol_terms(stencil.with_mesh_width(float(2**k))))
+    return complex(_coarse_values(block.prolongation / m_d,
+                                  block.fine_symbols, block.base, coarse))
+
+
+class BlockEvaluator:
+    """The two-grid blocks of one configuration, for batches of base frequencies.
+
+    Holds what does not depend on the base frequency (the stencil terms at
+    both mesh widths and the preconditioner scalar; the alias shifts and the
+    triangular hat are cached per geometry), so one evaluator serves a
+    lattice sweep and every polish step after it.
+    """
+
+    def __init__(self, cfg: TwoGridConfig):
+        st = cfg.stencil
+        self.cfg = cfg
+        self.m_d = float(2 ** (cfg.k * st.geometry.dimension))
+        self.fine = symbol_terms(st)
+        self.coarse = (None if cfg.coarse_mode == GALERKIN else
+                       symbol_terms(st.with_mesh_width(float(2**cfg.k))))
+        self.diagonal = preconditioner_symbol(st, cfg.preconditioner)
+        self.symmetric = st.is_symmetric()
+
+    def block(self, theta0: np.ndarray) -> HarmonicBlock:
+        """Per-harmonic symbols at base frequencies of shape (..., d)."""
+        cfg = self.cfg
+        geometry = cfg.stencil.geometry
+        theta0 = np.asarray(theta0, dtype=float)
+        theta = harmonic_frequencies(geometry, cfg.k, theta0)
+        fine = fourier_sum(theta, *self.fine)
+        prol = prolongation_symbol(theta, cfg.k, geometry)
+        return HarmonicBlock(
+            base=theta0,
+            harmonics=theta,
+            fine_symbols=fine,
+            smoother_symbols=smoother_symbol(cfg.smoother,
+                                             fine.real / self.diagonal),
+            prolongation=prol,
+            coarse_symbol=_coarse_values(prol / self.m_d, fine, theta0,
+                                         self.coarse),
         )
-    return value
+
+    def dense(self, block: HarmonicBlock) -> np.ndarray:
+        """S^{nu2} (I - P A_H^{-1} R A) S^{nu1} as dense complex blocks."""
+        cfg = self.cfg
+        c = coarse_correction_matrix(block, cfg.k,
+                                     cfg.stencil.geometry.dimension)
+        s = block.smoother_symbols
+        return (s**cfg.nu2)[..., :, None] * c * (s**cfg.nu1)[..., None, :]
+
+    def radii(self, lows: np.ndarray) -> np.ndarray:
+        """Block spectral radii at base frequencies of shape (B, d)."""
+        step = max(1, BATCH_ENTRIES // int(self.m_d) ** 2)
+        return np.concatenate([self.block_radii(self.block(lows[i:i + step]))
+                               for i in range(0, len(lows), step)])
+
+    def block_radii(self, block: HarmonicBlock) -> np.ndarray:
+        """Spectral radii of a batch of blocks (leading axis B).
+
+        Symmetric form E D E where it is valid (see the module docstring),
+        dense eigenvalues of the assembled block everywhere else.
+        """
+        cfg = self.cfg
+        out = np.empty(np.shape(block.coarse_symbol))
+        fast = np.zeros(out.shape, dtype=bool)
+        if self.symmetric:
+            a = block.fine_symbols.real
+            p = block.prolongation / self.m_d
+            norm2 = np.sum(p * p * a, axis=-1)
+            gamma = (np.ones_like(norm2) if cfg.coarse_mode == GALERKIN
+                     else norm2 / block.coarse_symbol.real)
+            # non-finite smoother symbols go to the dense path, which
+            # rejects them
+            fast = ((norm2 > 0) & np.all(a >= 0, axis=-1)
+                    & (gamma <= 1.0 + GAMMA_ROUNDING)
+                    & np.all(np.isfinite(block.smoother_symbols), axis=-1))
+            u = p[fast] * np.sqrt(a[fast]) / np.sqrt(norm2[fast])[:, None]
+            c = 1.0 - np.sqrt(1.0 - np.minimum(gamma[fast], 1.0))
+            d = block.smoother_symbols[fast] ** (cfg.nu1 + cfg.nu2)
+            out[fast] = _symmetric_radii(d, u, c)
+        if not np.all(fast):
+            slow = ~fast
+            rest = HarmonicBlock(**{name: value[slow]
+                                    for name, value in vars(block).items()})
+            out[slow] = spectral_radii(self.dense(rest))
+        return out
+
+
+def _symmetric_radii(d: np.ndarray, u: np.ndarray,
+                     c: np.ndarray) -> np.ndarray:
+    """max |eig(E D E)| with E = I - c u u^T, D = diag(d), |u| = 1.
+
+    E D E = D - (v z^T + z v^T) with v = c u and z = D u - (u^T D u) v / 2.
+    """
+    v = c[:, None] * u
+    du = d * u
+    z = du - 0.5 * np.sum(u * du, axis=-1)[:, None] * v
+    m = v[:, :, None] * z[:, None, :]
+    m = -(m + m.swapaxes(1, 2))
+    diag = np.arange(d.shape[-1])
+    m[:, diag, diag] += d
+    ev = np.linalg.eigvalsh(m)
+    return np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
 
 
 def harmonic_block(cfg: TwoGridConfig, theta0: np.ndarray) -> HarmonicBlock:
     """Assemble all per-harmonic symbols for one low frequency."""
-    st = cfg.stencil
-    theta = harmonic_frequencies(st.geometry, cfg.k, theta0)
-    fine = evaluate_symbol(st, theta)
-    xt = fine.real / preconditioner_symbol(st, cfg.preconditioner)
-    prol = prolongation_symbol(theta, cfg.k, st.geometry).astype(complex)
-    block = HarmonicBlock(
-        base=np.asarray(theta0, dtype=float),
-        harmonics=theta,
-        fine_symbols=fine,
-        smoother_symbols=np.asarray(smoother_symbol(cfg.smoother, xt)),
-        prolongation=prol,
-        coarse_symbol=0.0,
-    )
-    block.coarse_symbol = coarse_symbol(block, cfg.coarse_mode, st, cfg.k)
-    return block
+    return BlockEvaluator(cfg).block(theta0)
 
 
 def coarse_correction_matrix(block: HarmonicBlock, k: int,
@@ -199,55 +343,32 @@ def coarse_correction_matrix(block: HarmonicBlock, k: int,
     """C~ = I - p (A~_H)^{-1} r A~ with normalized inclusion column p."""
     m_d = float(2 ** (k * dimension))
     p = block.prolongation / m_d
-    r = np.conj(p)
-    n = len(p)
-    return np.eye(n, dtype=complex) - np.outer(p, r * block.fine_symbols) / block.coarse_symbol
+    ah = np.asarray(block.coarse_symbol)[..., None, None]
+    n = p.shape[-1]
+    return (np.eye(n, dtype=complex)
+            - p[..., :, None] * (np.conj(p) * block.fine_symbols)[..., None, :]
+            / ah)
 
 
 def two_grid_block(cfg: TwoGridConfig, theta0: np.ndarray) -> np.ndarray:
     """Block symbol S^{nu2} (I - P A_H^{-1} R A) S^{nu1} at one base frequency."""
-    block = harmonic_block(cfg, theta0)
-    c = coarse_correction_matrix(block, cfg.k, cfg.stencil.geometry.dimension)
-    s = block.smoother_symbols
-    return (s**cfg.nu2)[:, None] * c * (s**cfg.nu1)[None, :]
+    blocks = BlockEvaluator(cfg)
+    return blocks.dense(blocks.block(theta0))
 
 
-def _block_stack(cfg: TwoGridConfig, lows: np.ndarray) -> np.ndarray:
-    """All two-grid blocks at once (vectorized over base frequencies)."""
-    st = cfg.stencil
-    geometry = st.geometry
-    m_d = float(2 ** (cfg.k * geometry.dimension))
-    theta = np.stack([harmonic_frequencies(geometry, cfg.k, t0) for t0 in lows])
-    fine = evaluate_symbol(st, theta)
-    xt = fine.real / preconditioner_symbol(st, cfg.preconditioner)
-    s = np.asarray(smoother_symbol(cfg.smoother, xt.ravel())).reshape(xt.shape)
-    p = prolongation_symbol(theta, cfg.k, geometry).astype(complex) / m_d
-    if cfg.coarse_mode == GALERKIN:
-        ah = np.sum(np.conj(p) * fine * p, axis=1)
-    else:
-        coarse = st.with_mesh_width(float(2**cfg.k))
-        ah = evaluate_symbol(coarse, lows)
-    if np.min(np.abs(ah)) < SINGULAR_COARSE_TOL:
-        raise ValueError("singular coarse symbol in the low-frequency sweep")
-    n = theta.shape[1]
-    eye = np.eye(n, dtype=complex)[None]
-    c = eye - (p[:, :, None] * (np.conj(p) * fine)[:, None, :]) / ah[:, None, None]
-    return (s**cfg.nu2)[:, :, None] * c * (s**cfg.nu1)[:, None, :]
-
-
-def _polish_rho(cfg: TwoGridConfig, theta0: np.ndarray,
+def _polish_rho(blocks: BlockEvaluator, theta0: np.ndarray,
                 maxiter: int = 200) -> float:
     """Local refinement of the block spectral radius over the low box."""
     from scipy.optimize import minimize
 
-    h = np.asarray(cfg.stencil.geometry.h)
-    b = np.pi / (2**cfg.k * h)
+    h = np.asarray(blocks.cfg.stencil.geometry.h)
+    b = np.pi / (2**blocks.cfg.k * h)
 
     def neg(t):
         t = np.clip(t, -b * (1 - 1e-9), b * (1 - 1e-9))
         if np.max(np.abs(t) / b) < 1e-5:  # singular coarse symbol at zero
             return 0.0
-        return -spectral_radius(two_grid_block(cfg, t))
+        return -float(blocks.radii(t[None])[0])
 
     res = minimize(neg, theta0, method="Nelder-Mead",
                    options={"xatol": 1e-8, "fatol": 1e-11, "maxiter": maxiter})
@@ -263,13 +384,15 @@ def rho_two_grid(cfg: TwoGridConfig, polish: bool = True, candidates: int = 3,
     from the best ``candidates`` lattice points, which removes most of the
     lattice-resolution bias.
     """
+    blocks = BlockEvaluator(cfg)
     lows, _ = sample_frequencies(cfg.stencil.geometry, cfg.k, cfg.sampling)
-    radii = spectral_radii(_block_stack(cfg, lows))
+    radii = blocks.radii(lows)
     rho = float(np.max(radii))
     if polish:
         order = np.argsort(radii)[::-1][:candidates]
         for i in order:
-            rho = max(rho, _polish_rho(cfg, lows[i], maxiter=polish_maxiter))
+            rho = max(rho, _polish_rho(blocks, lows[i],
+                                       maxiter=polish_maxiter))
     return rho
 
 
@@ -289,6 +412,7 @@ def optimal_lambda0_two_grid(cfg: TwoGridConfig,
                             cfg.sampling)
     seed = min(seed, lam1 * 0.5)
 
+    @lru_cache(maxsize=None)
     def rho_at(lam0: float) -> float:
         # the objective is flat near its minimum, so the lattice max alone
         # (kinked as the argmax block jumps) can displace the minimizer; a

@@ -10,6 +10,7 @@ pi/(2^k h_d) "low"; everything else is "high".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
@@ -24,15 +25,24 @@ PRECONDITIONERS = (JACOBI, L1_JACOBI)
 REAL_SYMBOL_TOL = 1e-12
 
 
+def symbol_terms(stencil: Stencil) -> tuple[np.ndarray, np.ndarray]:
+    """The frequency-free part of the symbol: (h*offsets, complex coefficients)."""
+    return (stencil.offset_array * np.asarray(stencil.geometry.h),
+            stencil.coefficient_array.astype(complex))
+
+
+def fourier_sum(theta: np.ndarray, offsets: np.ndarray,
+                coefficients: np.ndarray) -> np.ndarray:
+    """sum_j c_j exp(i theta . offset_j) over the last axis of theta (..., d)."""
+    return np.exp(1j * (theta @ offsets.T)) @ coefficients
+
+
 def evaluate_symbol(stencil: Stencil, theta: np.ndarray) -> np.ndarray:
     """Symbol sum_j c_j exp(i theta . (h*offset_j)) at frequencies theta.
 
     ``theta`` has shape (..., d); the result drops the last axis.
     """
-    theta = np.asarray(theta, dtype=float)
-    scaled = stencil.offset_array * np.asarray(stencil.geometry.h)
-    phase = theta @ scaled.T
-    return np.exp(1j * phase) @ stencil.coefficient_array.astype(complex)
+    return fourier_sum(np.asarray(theta, dtype=float), *symbol_terms(stencil))
 
 
 def preconditioner_symbol(stencil: Stencil, kind: str) -> float:
@@ -100,6 +110,27 @@ def frequency_lattice(geometry: GridGeometry,
         axes.append(-np.pi / w + (2 * np.pi / (w * n)) * np.arange(1, n + 1))
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def lattice_symbol(stencil: Stencil, kind: str, sampling: FrequencySampling
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The inclusive lattice and X~ on it.
+
+    ``lambda_bounds`` and ``smoothing_factor`` sweep the same lattice for
+    every k and smoother, so X~ is cached per (stencil, preconditioner,
+    sampling) and read-only; the lattice is cheap to rebuild.
+    """
+    x = _lattice_x(stencil, kind, sampling)  # first: one lattice at a time
+    return frequency_lattice(stencil.geometry, sampling), x
+
+
+@lru_cache(maxsize=4)
+def _lattice_x(stencil: Stencil, kind: str,
+               sampling: FrequencySampling) -> np.ndarray:
+    x = preconditioned_symbol(stencil, kind,
+                              frequency_lattice(stencil.geometry, sampling))
+    x.flags.writeable = False
+    return x
 
 
 def low_frequency_mask(geometry: GridGeometry, k: int,
@@ -186,8 +217,7 @@ def lambda_bounds(stencil: Stencil, kind: str, k: int,
     sampling = sampling or FrequencySampling()
     sampling.validate_ratio(k)
     geometry = stencil.geometry
-    theta = frequency_lattice(geometry, sampling)
-    x = preconditioned_symbol(stencil, kind, theta)
+    theta, x = lattice_symbol(stencil, kind, sampling)
     if np.min(x) < -REAL_SYMBOL_TOL:
         raise ValueError("preconditioned symbol is not positive semi-definite")
     ax = np.abs(x)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from polymg import build_fem_tri_laplace
+from polymg import build_fem_tri_laplace, cli
 from polymg.cli import main
 
 
@@ -108,9 +108,26 @@ def test_solve_rejects_low_iterations(capsys):
     assert "30" in payload["message"]
 
 
-def test_solve_divergence_is_a_json_error(capsys):
-    # an interval that misses the top of the spectrum diverges; a run-time
-    # error is reported like every other failure
+def test_solve_divergence_is_a_json_error(capsys, monkeypatch):
+    # a run-time error such as a divergence is reported like every other
+    # failure
+    def diverge(*args, **kwargs):
+        raise RuntimeError("divergence at iteration 6: ratio 1.500000 > 1")
+
+    monkeypatch.setattr(cli, "measure_asymptotic_rate", diverge)
+    code, out, err = run_cli(
+        capsys, "solve", "--stencil", "fd2d", "--family", "ba1x",
+        "--degree", "2", "--n", "31", "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "RuntimeError"
+    assert "divergence" in payload["message"]
+
+
+def test_solve_rejects_lambda1_below_spectrum(capsys):
+    # fd2d has LFA lambda1 = 2; an interval ending at 1 would diverge
     code, out, err = run_cli(
         capsys, "solve", "--stencil", "fd2d", "--family", "ba1x",
         "--degree", "2", "--lambda0", "0.9", "--lambda1", "1.0",
@@ -119,8 +136,8 @@ def test_solve_divergence_is_a_json_error(capsys):
     assert out == ""
     assert err.count("\n") == 1
     payload = json.loads(err)
-    assert payload["error"] == "RuntimeError"
-    assert "divergence" in payload["message"]
+    assert payload["error"] == "CliError"
+    assert "1.0" in payload["message"] and "2.0" in payload["message"]
 
 
 def test_optimize_degree_objective(capsys):

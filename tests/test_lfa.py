@@ -11,7 +11,11 @@ from polymg import (BA1X, CHEBYSHEV, GALERKIN, JACOBI, REDISCRETIZED, SA,
                     optimal_lambda0_smoothing, optimal_lambda0_two_grid,
                     prolongation_symbol, rectangular, rho_two_grid,
                     sample_frequencies, smoother_symbol, smoothing_factor)
-from polymg.lfa import coarse_correction_matrix, two_grid_block
+from polymg import Stencil, lfa
+from polymg.lfa import (BlockEvaluator, coarse_correction_matrix,
+                        two_grid_block)
+from polymg.smallmat import spectral_radii
+from polymg.tables import TRI_PRESETS
 
 from oracles import bilinear_weight_stencil
 
@@ -103,6 +107,16 @@ def test_harmonics_count_and_distinct():
         assert len({tuple(np.round(t, 12)) for t in h}) == 4**k
     h3 = harmonic_frequencies(FD3.geometry, 1, np.array([0.2, 0.3, -0.4]))
     assert h3.shape == (8, 3)
+
+
+def test_harmonic_frequencies_vectorized():
+    for geo, k in ((FD2.geometry, 2), (FD3.geometry, 1), (EQUI.geometry, 3)):
+        lows, _ = sample_frequencies(geo, k, FrequencySampling(16))
+        rows = np.stack([harmonic_frequencies(geo, k, t) for t in lows])
+        assert np.array_equal(harmonic_frequencies(geo, k, lows), rows)
+        batch = lows[:4].reshape(2, 2, -1)
+        assert np.array_equal(harmonic_frequencies(geo, k, batch),
+                              rows[:4].reshape(2, 2, *rows.shape[1:]))
 
 
 def _config(stencil, spec, k, mode, nu1=1, nu2=0):
@@ -237,3 +251,85 @@ def test_two_grid_config_validation():
         TwoGridConfig(stencil=FD2, smoother=spec, k=1, nu1=0, nu2=0)
     with pytest.raises(ValueError):
         TwoGridConfig(stencil=FD2, smoother=spec, k=1, coarse_mode="exact")
+
+
+RANK_ONE_CASES = (
+    [(f"fd2d-k{k}", FD2, k, 32) for k in (1, 2, 3)]
+    + [(f"fd3d-k{k}", FD3, k, 16) for k in (1, 2)]
+    + [(f"{name}-k{k}", build_fem_tri_laplace(*angles), k, 32)
+       for name, angles in TRI_PRESETS.items() for k in (1, 2, 3)])
+
+
+def _sweep(stencil, k, samples, mode, nu1=1, nu2=0):
+    sampling = FrequencySampling(samples_per_axis=samples)
+    cfg = TwoGridConfig(stencil=stencil,
+                        smoother=SmootherSpec(CHEBYSHEV, 3, 0.3, 2.0), k=k,
+                        nu1=nu1, nu2=nu2, coarse_mode=mode,
+                        sampling=sampling)
+    lows, _ = sample_frequencies(stencil.geometry, k, sampling)
+    return BlockEvaluator(cfg), lows
+
+
+def _count_dense(monkeypatch):
+    """Count the blocks sent to the dense eigenvalue fallback."""
+    seen = []
+
+    def counted(stack):
+        seen.append(len(stack))
+        return spectral_radii(stack)
+
+    monkeypatch.setattr(lfa, "spectral_radii", counted)
+    return seen
+
+
+@pytest.mark.parametrize("mode", [GALERKIN, REDISCRETIZED])
+@pytest.mark.parametrize("name,stencil,k,samples", RANK_ONE_CASES,
+                         ids=[case[0] for case in RANK_ONE_CASES])
+def test_symmetric_radii_match_dense(name, stencil, k, samples, mode,
+                                     monkeypatch):
+    dense = _count_dense(monkeypatch)
+    for nu1, nu2 in ((1, 0), (1, 1), (0, 2)):
+        blocks, lows = _sweep(stencil, k, samples, mode, nu1, nu2)
+        radii = blocks.radii(lows)
+        want = spectral_radii(np.stack([two_grid_block(blocks.cfg, t)
+                                        for t in lows]))
+        assert np.max(np.abs(radii - want)) < 1e-12
+    assert dense == []
+
+
+def test_radii_in_batches_match_one_batch(monkeypatch):
+    blocks, lows = _sweep(FD2, 2, 32, REDISCRETIZED)
+    whole = blocks.radii(lows)
+    monkeypatch.setattr(lfa, "BATCH_ENTRIES", 5 * 16**2)
+    assert np.array_equal(blocks.radii(lows), whole)
+
+
+def test_gamma_above_one_takes_dense_fallback(monkeypatch):
+    dense = _count_dense(monkeypatch)
+    blocks, lows = _sweep(FD2, 2, 32, REDISCRETIZED)
+    blk = blocks.block(lows)
+    p = blk.prolongation / blocks.m_d
+    norm2 = np.sum(p * p * blk.fine_symbols.real, axis=-1)
+    raised = np.arange(len(lows)) % 3 == 0
+    # gamma = norm2 / a_H = 1.5 on every third block
+    blk.coarse_symbol = np.where(raised, norm2 / 1.5, blk.coarse_symbol)
+    radii = blocks.block_radii(blk)
+    assert dense == [np.count_nonzero(raised)]
+    want = spectral_radii(blocks.dense(blk))
+    assert np.max(np.abs(radii - want)) < 1e-12
+    assert not np.allclose(radii[raised], spectral_radii(
+        blocks.dense(blocks.block(lows[raised]))))
+
+
+@pytest.mark.parametrize("mode", [GALERKIN, REDISCRETIZED])
+def test_nonsymmetric_stencil_takes_dense_fallback(mode, monkeypatch):
+    dense = _count_dense(monkeypatch)
+    upwind = Stencil(geometry=FD2.geometry,
+                     offsets=((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)),
+                     coefficients=(4.0, -1.3, -0.7, -1.0, -1.0))
+    blocks, lows = _sweep(upwind, 1, 16, mode)
+    radii = blocks.radii(lows)
+    assert dense == [len(lows)]
+    want = spectral_radii(np.stack([two_grid_block(blocks.cfg, t)
+                                    for t in lows]))
+    assert np.max(np.abs(radii - want)) < 1e-12

@@ -9,6 +9,7 @@ from polymg import (FrequencySampling, JACOBI, L1_JACOBI, Stencil,
                     build_fd_laplace, build_fem_tri_laplace, evaluate_symbol,
                     lambda_bounds, preconditioned_symbol,
                     preconditioner_symbol, rectangular, sample_frequencies)
+from polymg.symbols import frequency_lattice, lattice_symbol
 
 from oracles import naive_symbol
 
@@ -124,6 +125,17 @@ def test_lambda_bounds_rejects_indefinite_operator():
                          (1.0, -1.0, -1.0, -1.0, -1.0))
     with pytest.raises(ValueError, match="positive"):
         lambda_bounds(indefinite, JACOBI, 1)
+
+
+def test_lattice_symbol_is_cached_and_exact():
+    sampling = FrequencySampling(16)
+    for stencil in (FD2, FD3, ISO):
+        theta, x = lattice_symbol(stencil, JACOBI, sampling)
+        want = frequency_lattice(stencil.geometry, sampling)
+        assert np.array_equal(theta, want)
+        assert np.array_equal(x, preconditioned_symbol(stencil, JACOBI, want))
+        assert lattice_symbol(stencil, JACOBI, sampling)[1] is x
+        assert not x.flags.writeable
 
 
 def test_lambda_bounds_sampling_convergence():
