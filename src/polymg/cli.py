@@ -197,9 +197,9 @@ def cmd_solve(args) -> None:
     report_obj = measure_asymptotic_rate(cyc, args.n,
                                          stencil.geometry.dimension,
                                          iterations=args.iterations,
-                                         seed=args.seed)
+                                         seed=args.seed, stencil=stencil)
     report = {"command": "solve", "rate": report_obj.rate,
-              **report_obj.to_dict(), **echo}
+              "stencil": stencil.to_dict(), **report_obj.to_dict(), **echo}
     if args.history:
         with open(args.history, "w") as f:
             f.write("iteration,anorm_ratio\n")

@@ -3,14 +3,18 @@
 Dirichlet boundary, interior-only vectors with 2^p - 1 points per axis,
 2^k coarsening with piecewise-multilinear transfers (hat weights
 1 - |j|/2^k per axis; restriction is the adjoint scaled by 2^{-kd}).
-Smoothers run the recurrence of ``polynomials.apply_q`` with X = R0 A, the
-same code the Fourier symbols use, so a degree-m polynomial costs m
-operator applications (m + 1 per smoothing step with its residual).
+Every level, Galerkin coarse levels included, is a stencil applied
+matrix-free; only the coarsest is assembled, for its LU.  Smoothers run
+the recurrence of ``polynomials.apply_q`` with X = R0 A, the same code the
+Fourier symbols use, so a degree-m polynomial costs m operator
+applications (m + 1 per smoothing step with its residual).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,15 +33,31 @@ CYCLE_KINDS = (TWO_GRID, V_CYCLE, W_CYCLE)
 
 @dataclass(frozen=True)
 class GridLevel:
-    """A rectangular level: interior extent, mesh width, and its stencil."""
+    """A rectangular level: interior extent and its operator's stencil."""
 
     shape: tuple[int, ...]
-    h: tuple[float, ...]
     stencil: Stencil
 
+    def __post_init__(self):
+        if len(self.shape) != self.stencil.geometry.dimension:
+            raise ValueError(f"{len(self.shape)}D level with a "
+                             f"{self.stencil.geometry.dimension}D stencil")
+        # the operator is applied with a one-cell Dirichlet halo
+        if any(abs(x) > 1 for o in self.stencil.offsets for x in o):
+            raise ValueError("stencil offsets must lie in {-1, 0, 1}^d")
+
     @property
-    def size(self) -> int:
-        return int(np.prod(self.shape))
+    def h(self) -> tuple[float, ...]:
+        return self.stencil.geometry.h
+
+    @cached_property
+    def terms(self) -> tuple[tuple[float, tuple[slice, ...]], ...]:
+        """(coefficient, slice of the haloed vector) per stencil entry."""
+        return tuple(
+            (c, tuple(slice(1 + o, 1 + o + s)
+                      for o, s in zip(offset, self.shape)))
+            for offset, c in zip(self.stencil.offsets,
+                                 self.stencil.coefficients))
 
 
 @dataclass(frozen=True)
@@ -74,34 +94,37 @@ class CycleSpec:
                 "coarse_mode": self.coarse_mode}
 
 
-def make_grid_level(n: int, dimension: int) -> GridLevel:
-    """Unit-domain level with n interior points per axis (h = 1/(n+1))."""
+def make_grid_level(n: int, dimension: int,
+                    stencil: Stencil | None = None) -> GridLevel:
+    """Unit-domain level with n interior points per axis (h = 1/(n+1)):
+    the FD Laplacian, or ``stencil`` rescaled to width h on its first axis."""
     if n < 1:
         raise ValueError("need at least one interior point per axis")
     h = 1.0 / (n + 1)
-    geometry = rectangular(h, dimension)
-    return GridLevel(shape=(n,) * dimension, h=(h,) * dimension,
-                     stencil=build_fd_laplace(geometry))
+    if stencil is None:
+        stencil = build_fd_laplace(rectangular(h, dimension))
+    else:
+        stencil = stencil.with_mesh_width(h / stencil.geometry.h[0])
+    return GridLevel(shape=(n,) * dimension, stencil=stencil)
 
 
 def apply_operator(level: GridLevel, u: np.ndarray) -> np.ndarray:
     """Matrix-free stencil application with a zero Dirichlet halo."""
     if u.shape != level.shape:
         raise ValueError(f"vector shape {u.shape} != level shape {level.shape}")
-    padded = np.pad(u, 1)
-    out = np.zeros_like(u)
-    d = u.ndim
-    for offset, c in zip(level.stencil.offsets, level.stencil.coefficients):
-        sl = tuple(slice(1 + o, 1 + o + level.shape[ax])
-                   for ax, o in enumerate(offset[:d]))
+    padded = np.zeros(tuple(s + 2 for s in u.shape), dtype=u.dtype)
+    padded[(slice(1, -1),) * u.ndim] = u
+    (c, sl), *rest = level.terms
+    out = c * padded[sl]
+    for c, sl in rest:
         out += c * padded[sl]
     return out
 
 
 def assemble_matrix(level: GridLevel) -> sp.csr_matrix:
-    """Sparse matrix of the level operator (coarsest solves, Galerkin)."""
+    """Sparse matrix of the level operator (coarsest LU, Galerkin probe)."""
     shape = level.shape
-    size = level.size
+    size = int(np.prod(shape))
     idx = np.arange(size).reshape(shape)
     rows, cols, vals = [], [], []
     for offset, c in zip(level.stencil.offsets, level.stencil.coefficients):
@@ -161,69 +184,42 @@ def restrict(fine: np.ndarray, k: int) -> np.ndarray:
 
 
 def prolongation_matrix(coarse_shape: tuple[int, ...], k: int) -> sp.csr_matrix:
-    """Sparse multilinear interpolation matrix (Galerkin coarse assembly)."""
+    """Sparse multilinear interpolation matrix (the Galerkin probe)."""
     m = 2**k
-    w = hat_weights(k)
-    mats = []
+    out = sp.identity(1, format="csr")
     for nc in coarse_shape:
-        nf = m * (nc + 1) - 1
-        p = sp.lil_matrix((nf, nc))
-        for col in range(nc):
-            center = m * (col + 1) - 1
-            for r, wr in zip(range(-m + 1, m), w):
-                p[center + r, col] = wr
-        mats.append(p.tocsr())
-    out = mats[0]
-    for p in mats[1:]:
+        cols = np.repeat(np.arange(nc), 2 * m - 1)
+        rows = m * (cols + 1) - 1 + np.tile(np.arange(-m + 1, m), nc)
+        p = sp.csr_matrix((np.tile(hat_weights(k), nc), (rows, cols)),
+                          shape=(m * (nc + 1) - 1, nc))
         out = sp.kron(out, p, format="csr")
     return out
 
 
-class _Level:
-    """Operator + smoother workspace for one level of the hierarchy."""
+def galerkin_stencil(stencil: Stencil, k: int) -> Stencil:
+    """Stencil of P^T A P / 2^{kd}: the centre row on a 3^d coarse probe grid.
 
-    def __init__(self, level: GridLevel, matrix: sp.csr_matrix | None = None):
-        self.level = level
-        self.matrix = matrix  # set for Galerkin coarse levels
-        if matrix is None:
-            self.diag = preconditioner_symbol(level.stencil, JACOBI)
-        else:
-            self.diag = None
-        self.lu = None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.level.shape
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        if self.matrix is not None:
-            return (self.matrix @ u.ravel()).reshape(u.shape)
-        return apply_operator(self.level, u)
-
-    def r0(self, preconditioner: str, u: np.ndarray) -> np.ndarray:
-        """Apply the diagonal preconditioner R0."""
-        if self.matrix is not None:
-            d = self.matrix.diagonal()
-            if preconditioner == JACOBI:
-                scale = d
-            else:
-                scale = np.asarray(np.abs(self.matrix).sum(axis=1)).ravel() \
-                    + d - np.abs(d)
-            return (u.ravel() / scale).reshape(u.shape)
-        return u / preconditioner_symbol(self.level.stencil, preconditioner)
-
-    def solve(self, f: np.ndarray) -> np.ndarray:
-        if self.lu is None:
-            a = self.matrix if self.matrix is not None \
-                else assemble_matrix(self.level)
-            self.lu = splu(a.tocsc())
-        return self.lu.solve(f.ravel()).reshape(f.shape)
+    Every coarse hat lies inside the fine interior and A couples only
+    neighbours, so the full-grid Galerkin matrix is this stencil truncated
+    at the Dirichlet boundary.
+    """
+    d, m = stencil.geometry.dimension, 2**k
+    p = prolongation_matrix((3,) * d, k)
+    probe = assemble_matrix(GridLevel((4 * m - 1,) * d, stencil))
+    row = ((p.T @ probe @ p)[3**d // 2] / float(m**d)).toarray().ravel()
+    offsets, coefficients = zip(*(
+        (o, float(c)) for o, c in
+        zip(itertools.product((-1, 0, 1), repeat=d), row) if c != 0.0))
+    return Stencil(geometry=stencil.with_mesh_width(m).geometry,
+                   offsets=offsets, coefficients=coefficients)
 
 
 class Multigrid:
-    """A hierarchy of 2^k-coarsened levels running the configured cycle."""
+    """A hierarchy of 2^k-coarsened levels running the configured cycle;
+    ``stencil`` is the fine operator (default: the FD Laplacian)."""
 
-    def __init__(self, spec: CycleSpec, n: int, dimension: int = 2):
+    def __init__(self, spec: CycleSpec, n: int, dimension: int = 2, *,
+                 stencil: Stencil | None = None):
         if dimension not in (2, 3):
             raise ValueError("solver supports 2D and 3D grids")
         if not is_admissible(spec.smoother):
@@ -232,44 +228,40 @@ class Multigrid:
                 "raise the degree or adjust the interval")
         self.spec = spec
         m = 2**spec.k
-        sizes = [n]
-        while (sizes[-1] + 1) % m == 0 and (sizes[-1] + 1) // m - 1 >= 1:
-            if spec.levels is not None and len(sizes) >= spec.levels:
-                break
-            if spec.kind == TWO_GRID and len(sizes) >= 2:
-                break
-            sizes.append((sizes[-1] + 1) // m - 1)
-        if len(sizes) < 2:
+        depth = n if spec.levels is None else spec.levels
+        if spec.kind == TWO_GRID:
+            depth = min(depth, 2)
+        self.levels = [make_grid_level(n, dimension, stencil)]
+        size = n
+        while len(self.levels) < depth and (size + 1) % m == 0 and size >= m:
+            size = (size + 1) // m - 1
+            fine = self.levels[-1].stencil
+            coarse = galerkin_stencil(fine, spec.k) \
+                if spec.coarse_mode == GALERKIN else fine.with_mesh_width(m)
+            self.levels.append(GridLevel((size,) * dimension, coarse))
+        if len(self.levels) < 2:
             raise ValueError(
                 f"cannot coarsen a {n}^{dimension} grid by 2^{spec.k}")
-        self.levels: list[_Level] = [
-            _Level(make_grid_level(s, dimension)) for s in sizes]
-        if spec.coarse_mode == GALERKIN:
-            fine = assemble_matrix(self.levels[0].level)
-            mats = [fine]
-            for lev in self.levels[1:]:
-                p = prolongation_matrix(lev.shape, spec.k)
-                mats.append((p.T @ mats[-1] @ p).tocsr() / float(m**dimension))
-            self.levels = [self.levels[0]] + [
-                _Level(lev.level, matrix=mat)
-                for lev, mat in zip(self.levels[1:], mats[1:])]
+        self._lu = None  # of the coarsest level, factored on first use
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.levels[0].shape
 
     def smooth(self, idx: int, f: np.ndarray, u: np.ndarray) -> np.ndarray:
-        lev = self.levels[idx]
-        r = f - lev.apply(u)
-        return u + _apply_polynomial(lev, self.spec.smoother,
+        level = self.levels[idx]
+        r = f - apply_operator(level, u)
+        return u + _apply_polynomial(level, self.spec.smoother,
                                      self.spec.preconditioner, r)
 
     def _cycle(self, idx: int, f: np.ndarray, u: np.ndarray) -> np.ndarray:
         if idx == len(self.levels) - 1:
-            return self.levels[idx].solve(f)
+            if self._lu is None:
+                self._lu = splu(assemble_matrix(self.levels[-1]).tocsc())
+            return self._lu.solve(f.ravel()).reshape(f.shape)
         for _ in range(self.spec.pre):
             u = self.smooth(idx, f, u)
-        residual = f - self.levels[idx].apply(u)
+        residual = f - apply_operator(self.levels[idx], u)
         rc = restrict(residual, self.spec.k)
         ec = np.zeros_like(rc)
         passes = 2 if self.spec.kind == W_CYCLE else 1
@@ -287,14 +279,16 @@ class Multigrid:
         return self._cycle(0, rhs, u0)
 
     def a_norm(self, u: np.ndarray) -> float:
-        return float(np.sqrt(np.vdot(u, self.levels[0].apply(u)).real))
+        au = apply_operator(self.levels[0], u)
+        return float(np.sqrt(np.vdot(u, au).real))
 
 
-def _apply_polynomial(lev: _Level, spec: SmootherSpec, preconditioner: str,
-                      r: np.ndarray) -> np.ndarray:
+def _apply_polynomial(level: GridLevel, spec: SmootherSpec,
+                      preconditioner: str, r: np.ndarray) -> np.ndarray:
     """R r = q(R0 A) R0 r: ``degree`` operator applications."""
-    return apply_q(spec, lev.r0(preconditioner, r),
-                   lambda v: lev.r0(preconditioner, r - lev.apply(v)))
+    r0 = preconditioner_symbol(level.stencil, preconditioner)
+    return apply_q(spec, r / r0,
+                   lambda v: (r - apply_operator(level, v)) / r0)
 
 
 def apply_smoother(level: GridLevel, spec: SmootherSpec, preconditioner: str,
@@ -302,7 +296,7 @@ def apply_smoother(level: GridLevel, spec: SmootherSpec, preconditioner: str,
     """Standalone smoother application R r on one level."""
     if not is_admissible(spec):
         raise ValueError("inadmissible smoother spec (max |e| >= 1)")
-    return _apply_polynomial(_Level(level), spec, preconditioner, r)
+    return _apply_polynomial(level, spec, preconditioner, r)
 
 
 @dataclass
@@ -324,18 +318,18 @@ class RateReport:
 
 
 def measure_asymptotic_rate(spec: CycleSpec, n: int, dimension: int = 2,
-                            iterations: int = 100, seed: int = 1234,
-                            ) -> RateReport:
+                            iterations: int = 100, seed: int = 1234, *,
+                            stencil: Stencil | None = None) -> RateReport:
     """Per-iteration A-norm ratios on the homogeneous problem.
 
     Starts from a fixed-seed random error, renormalizes every iteration to
     dodge underflow, and returns the geometric mean of the last 10 ratios.
     Any ratio above 1 + 1e-6 after the 5th iteration aborts with the
-    offending index.
+    offending index.  ``stencil`` is the fine operator.
     """
     if iterations < 30:
         raise ValueError("need at least 30 iterations for an asymptotic rate")
-    mg = Multigrid(spec, n, dimension)
+    mg = Multigrid(spec, n, dimension, stencil=stencil)
     rng = np.random.default_rng(seed)
     e = rng.standard_normal(mg.shape)
     e /= mg.a_norm(e)

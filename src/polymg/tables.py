@@ -340,7 +340,7 @@ def optimal_table(sampling: FrequencySampling | None = None,
 
 
 def v_cycle_table(sampling: FrequencySampling | None = None,
-                  n2d: int = 255, n3d: int = 63,
+                  experiments: bool = True, n2d: int = 255, n3d: int = 63,
                   iterations2d: int = 100, iterations3d: int = 60
                   ) -> TableResult:
     """Table 5 (both parts): measured V(1,1) rates in 2D and 3D."""
@@ -356,6 +356,9 @@ def v_cycle_table(sampling: FrequencySampling | None = None,
             for spec in (SmootherSpec(BA1X, deg, lam0, 2.0),
                          SmootherSpec(BA1X, deg, lam_star, 2.0),
                          SmootherSpec(CHEBYSHEV, deg, lam0, 2.0)):
+                if not experiments:
+                    row.append(None)
+                    continue
                 cyc = CycleSpec(kind=V_CYCLE, k=k, smoother=spec,
                                 pre=1, post=1, coarse_mode=REDISCRETIZED)
                 row.append(_measure(
@@ -427,7 +430,7 @@ def reproduce_table(index: int, sampling: FrequencySampling | None = None,
         return optimal_table(sampling, experiments=experiments,
                              iterations=iterations)
     if index == 5:
-        return v_cycle_table(sampling)
+        return v_cycle_table(sampling, experiments=experiments)
     if index == 6:
         return triangular_table("equilateral", sampling)
     if index == 7:

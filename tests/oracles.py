@@ -253,3 +253,19 @@ def bilinear_weight_stencil() -> dict[tuple[int, int], float]:
     base = {-1: 0.5, 0: 1.0, 1: 0.5}
     return {(i, j): wi * wj for i, wi in base.items()
             for j, wj in base.items()}
+
+
+def galerkin_matrices(fine, k: int, coarse_shapes) -> list:
+    """Full-grid Galerkin products P^T A P / 2^{kd}, level by level.
+
+    The triple product of the whole grid's matrices, the route the solver
+    took before it read the coarse stencils from a small probe grid.
+    """
+    from polymg.multigrid import prolongation_matrix
+
+    mats = [fine.tocsr()]
+    for shape in coarse_shapes:
+        p = prolongation_matrix(shape, k)
+        scale = float(2 ** (k * len(shape)))
+        mats.append((p.T @ mats[-1] @ p).tocsr() / scale)
+    return mats

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from polymg import build_fem_tri_laplace, cli
+from polymg import Stencil, build_fem_tri_laplace, cli, reproduce_table
 from polymg.cli import main
 
 
@@ -159,6 +159,61 @@ def test_optimize_smoothing_objective(capsys):
     report = json.loads(out)
     assert report["lambda0_star"] == pytest.approx(0.202, abs=2e-3)
     assert report["mu"] == pytest.approx(0.086, abs=2e-3)
+
+
+#: the bilinear (Q1) FEM Laplacian: a 9-point stencil
+Q1_STENCIL = {"geometry": {"kind": "rectangular", "h": [1.0, 1.0]},
+              "entries": [{"offset": [i, j],
+                           "coefficient": 8 / 3 if i == j == 0 else -1 / 3}
+                          for i in (-1, 0, 1) for j in (-1, 0, 1)]}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_solve_runs_the_stencil_file(tmp_path, capsys, k):
+    path = tmp_path / "q1.json"
+    path.write_text(json.dumps(Q1_STENCIL))
+    flags = ("--stencil-file", str(path), "--k", str(k), "--family", "cheb",
+             "--degree", "2")
+    code, out, err = run_cli(capsys, "two-grid", *flags)
+    assert code == 0, err
+    rho = json.loads(out)["rho_lfa"]
+    for mode in ("rediscretized", "galerkin"):
+        code, out, err = run_cli(capsys, "solve", *flags, "--cycle", "tg",
+                                 "--pre", "1", "--post", "0", "--n", "127",
+                                 "--coarse", mode)
+        assert code == 0, err
+        report = json.loads(out)
+        assert Stencil.from_dict(report["stencil"]) == \
+            Stencil.from_dict(Q1_STENCIL)
+        assert report["rate"] == pytest.approx(rho[mode], abs=1e-2), mode
+
+
+def test_solve_rejects_wide_stencil(tmp_path, capsys):
+    wide = {"geometry": {"kind": "rectangular", "h": [1.0, 1.0]},
+            "entries": [{"offset": [0, 0], "coefficient": 5.0},
+                        {"offset": [2, 0], "coefficient": -1.0},
+                        {"offset": [-2, 0], "coefficient": -1.0},
+                        {"offset": [0, 1], "coefficient": -1.0},
+                        {"offset": [0, -1], "coefficient": -1.0}]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(wide))
+    code, out, err = run_cli(capsys, "solve", "--stencil-file", str(path),
+                             "--k", "1", "--family", "cheb", "--degree", "4",
+                             "--n", "31", "--iterations", "30")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert "{-1, 0, 1}" in error["message"]
+
+
+def test_reproduce_table_five_lfa_only():
+    result = reproduce_table(5, experiments=False)
+    tolerances = result.tolerances
+    for row, want in zip(result.computed, result.reference):
+        assert row[2:] == [None, None, None]
+        for col, got, ref in zip(result.columns[:2], row, want):
+            assert abs(got - ref) <= tolerances[col], col
 
 
 def test_reproduce_bounds_check(capsys):

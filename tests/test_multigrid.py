@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from polymg import (BA1X, CHEBYSHEV, GALERKIN, JACOBI, REDISCRETIZED, SA,
-                    CycleSpec, Multigrid, SmootherSpec, apply_operator,
-                    apply_smoother, make_grid_level, measure_asymptotic_rate,
-                    prolongate, restrict)
-from polymg.multigrid import assemble_matrix, hat_weights
+from polymg import (BA1X, CHEBYSHEV, GALERKIN, JACOBI, L1_JACOBI,
+                    REDISCRETIZED, SA, CycleSpec, Multigrid, SmootherSpec,
+                    Stencil, apply_operator, apply_smoother, build_fd_laplace,
+                    lambda_bounds, make_grid_level, measure_asymptotic_rate,
+                    prolongate, rectangular, restrict)
+from polymg.multigrid import GridLevel, assemble_matrix, hat_weights
 
 from oracles import (assemble_fd_matrix, bilinear_weight_stencil,
-                     closed_form_error)
+                     closed_form_error, galerkin_matrices)
 
 CHEB = SmootherSpec(CHEBYSHEV, 2, 0.5, 2.0)
 
@@ -200,7 +201,7 @@ def test_two_grid_galerkin_projection_smoke():
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal(mg.shape)
     u = mg.cycle(rhs, np.zeros_like(rhs))
-    residual = rhs - mg.levels[0].apply(u)
+    residual = rhs - apply_operator(mg.levels[0], u)
     coarse_part = restrict(residual, 1)
     assert np.max(np.abs(coarse_part)) < 1e-10 * np.max(np.abs(rhs))
 
@@ -214,7 +215,7 @@ def test_v_cycle_symmetry_in_a_inner_product():
     def error_op(e):
         return mg.cycle(zero, e)
 
-    a_apply = lambda u: mg.levels[0].apply(u)
+    a_apply = lambda u: apply_operator(mg.levels[0], u)
     for _ in range(3):
         e1 = rng.standard_normal(mg.shape)
         e2 = rng.standard_normal(mg.shape)
@@ -276,3 +277,72 @@ def test_hierarchy_depth_and_levels_cap():
     assert len(Multigrid(capped, 255, 2).levels) == 3
     two = CycleSpec(kind="two-grid", k=1, smoother=CHEB)
     assert len(Multigrid(two, 255, 2).levels) == 2
+
+
+@pytest.mark.parametrize("dimension,n,k", [
+    (2, 255, 1), (2, 255, 2), (2, 255, 3), (3, 63, 1), (3, 63, 2)])
+def test_galerkin_levels_match_full_grid_products(dimension, n, k):
+    spec = CycleSpec(kind="v", k=k, smoother=CHEB, coarse_mode=GALERKIN)
+    mg = Multigrid(spec, n, dimension)
+    want = galerkin_matrices(assemble_matrix(mg.levels[0]), k,
+                             [level.shape for level in mg.levels[1:]])
+    for level, a in zip(mg.levels[1:], want[1:]):
+        diff = abs(assemble_matrix(level) - a)
+        assert diff.nnz == 0 or diff.max() <= 1e-14 * abs(a).max()
+
+
+def test_rediscretized_levels_are_the_built_in_laplacians():
+    for dimension, n, k in [(2, 255, 1), (2, 255, 3), (3, 63, 2)]:
+        mg = Multigrid(CycleSpec(kind="v", k=k, smoother=CHEB), n, dimension)
+        for level in mg.levels:
+            assert level == make_grid_level(level.shape[0], dimension)
+        # a unit-width stencil is rescaled to the grid, bit for bit
+        user = Multigrid(CycleSpec(kind="v", k=k, smoother=CHEB), n, dimension,
+                         stencil=build_fd_laplace(rectangular(1.0, dimension)))
+        assert user.levels == mg.levels
+
+
+def test_stencil_offsets_beyond_one_cell_rejected():
+    wide = build_fd_laplace(rectangular(1.0, 2))
+    wide = Stencil(geometry=wide.geometry, offsets=wide.offsets + ((2, 0),),
+                   coefficients=wide.coefficients + (-0.1,))
+    with pytest.raises(ValueError, match="offsets"):
+        GridLevel((7, 7), wide)
+    with pytest.raises(ValueError, match="offsets"):
+        Multigrid(CycleSpec(kind="v", k=1, smoother=CHEB), 31, 2, stencil=wide)
+    with pytest.raises(ValueError, match="3D"):
+        Multigrid(CycleSpec(kind="v", k=1, smoother=CHEB), 7, 3,
+                  stencil=build_fd_laplace(rectangular(1.0, 2)))
+
+
+def test_galerkin_smooth_operator_application_count(monkeypatch):
+    import polymg.multigrid as mg_module
+
+    spec = SmootherSpec(CHEBYSHEV, 3, 0.5, 2.0)
+    mg = Multigrid(CycleSpec(kind="v", k=1, smoother=spec,
+                             coarse_mode=GALERKIN), 31, 2)
+    counts = {"n": 0}
+    original = mg_module.apply_operator
+
+    def counting(level, u):
+        counts["n"] += 1
+        return original(level, u)
+
+    monkeypatch.setattr(mg_module, "apply_operator", counting)
+    rng = np.random.default_rng(10)
+    for idx, level in enumerate(mg.levels[:-1]):
+        counts["n"] = 0
+        mg.smooth(idx, rng.standard_normal(level.shape), np.zeros(level.shape))
+        assert counts["n"] == spec.degree + 1, idx
+
+
+def test_l1_jacobi_galerkin_v_cycle_converges():
+    stencil = build_fd_laplace(rectangular(1.0, 2))
+    lam0, lam1 = lambda_bounds(stencil, L1_JACOBI, 1)
+    spec = CycleSpec(kind="v", k=1,
+                     smoother=SmootherSpec(CHEBYSHEV, 3, lam0, lam1),
+                     preconditioner=L1_JACOBI, coarse_mode=GALERKIN)
+    report = measure_asymptotic_rate(spec, 127, 2, iterations=40)
+    assert all(r <= 1.0 + 1e-9 for r in report.ratios)
+    # the LFA two-grid factor of this V(1,1) smoother is 0.043
+    assert report.rate < 0.06
