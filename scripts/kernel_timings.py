@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Median time of the multigrid kernels on the table-5 V(1,1) shapes.
+
+For each configuration (2D n=255 and 3D n=63, k = 1 and k = 3, at the
+table degrees) prints the median milliseconds of one fine-level
+``apply_operator``, one fine-level ``Multigrid.smooth`` and one V-cycle.
+The smoother is Chebyshev on [0.25, 2]; operator costs do not depend on
+the interval.  Each kernel runs once untimed (the coarsest LU is factored
+on first use), then repeatedly for at least ``--seconds`` and at least
+five times.  The last column is the minor page faults per
+``apply_operator``: glibc returns freed arrays above its adaptive mmap
+threshold to the system, so until the process has freed a larger array
+each call faults its fresh arrays in again.  The configurations run in a
+fixed order, so every run sees the same allocator history.
+
+Usage: PYTHONPATH=src python scripts/kernel_timings.py [--seconds 2]
+"""
+
+import argparse
+import resource
+import statistics
+import time
+
+import numpy as np
+
+from polymg import (CHEBYSHEV, CycleSpec, Multigrid, SmootherSpec,
+                    apply_operator)
+from polymg.multigrid import V_CYCLE
+
+#: (dimension, n, k, degree): ROADMAP item 1's V-cycle baselines
+CONFIGS = ((2, 255, 1, 2), (2, 255, 3, 17), (3, 63, 1, 3), (3, 63, 3, 22))
+
+
+def median_ms(fn, seconds: float) -> tuple[float, float]:
+    """(median ms, minor page faults per call) over the timed calls."""
+    fn()
+    times = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    while len(times) < 5 or time.perf_counter() - start < seconds:
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return 1e3 * statistics.median(times), faults / len(times)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seconds", type=float, default=2.0,
+                    help="minimum timed seconds per kernel")
+    args = ap.parse_args()
+    print(f"{'config (median ms)':<22}{'apply_operator':>16}{'smooth':>10}"
+          f"{'V-cycle':>10}{'faults/apply':>14}")
+    for dimension, n, k, degree in CONFIGS:
+        spec = CycleSpec(kind=V_CYCLE, k=k, pre=1, post=1,
+                         smoother=SmootherSpec(CHEBYSHEV, degree, 0.25, 2.0))
+        mg = Multigrid(spec, n, dimension)
+        rng = np.random.default_rng(0)
+        u = rng.standard_normal(mg.shape)
+        f = np.zeros(mg.shape)
+        results = [median_ms(fn, args.seconds) for fn in (
+            lambda: apply_operator(mg.levels[0], u),
+            lambda: mg.smooth(0, f, u),
+            lambda: mg.cycle(f, u))]
+        label = f"{dimension}D n={n} k={k} deg {degree}"
+        cells = "".join(f"{ms:>{w}.3f}" for (ms, _), w in zip(results,
+                                                              (16, 10, 10)))
+        print(f"{label:<22}{cells}{results[0][1]:>14.0f}")
+
+
+if __name__ == "__main__":
+    main()

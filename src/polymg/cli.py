@@ -331,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="recompute a reference table")
     p.add_argument("--table", type=int, required=True, help="table index 1..7")
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--iterations", type=int, default=100)
+    p.add_argument("--iterations", type=int, default=100,
+                   help="cycles per measured rate; table 3's W-cycles run "
+                        "max(60, N // 2), table 5's 3D V-cycles min(N, 60)")
     p.add_argument("--lfa-only", action="store_true",
                    help="skip the measured-rate columns")
     p.add_argument("--output", help="CSV path (companion JSON gets .compare.json)")

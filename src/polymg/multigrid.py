@@ -4,7 +4,9 @@ Dirichlet boundary, interior-only vectors with 2^p - 1 points per axis,
 2^k coarsening with piecewise-multilinear transfers (hat weights
 1 - |j|/2^k per axis; restriction is the adjoint scaled by 2^{-kd}).
 Every level, Galerkin coarse levels included, is a stencil applied
-matrix-free; only the coarsest is assembled, for its LU.  Smoothers run
+matrix-free with one multiply per distinct coefficient, which rounds
+differently from the entry-by-entry sum in the last bits; only the
+coarsest is assembled, for its LU.  Smoothers run
 the recurrence of ``polynomials.apply_q`` with X = R0 A, the same code the
 Fourier symbols use, so a degree-m polynomial costs m operator
 applications (m + 1 per smoothing step with its residual).
@@ -51,13 +53,13 @@ class GridLevel:
         return self.stencil.geometry.h
 
     @cached_property
-    def terms(self) -> tuple[tuple[float, tuple[slice, ...]], ...]:
-        """(coefficient, slice of the haloed vector) per stencil entry."""
-        return tuple(
-            (c, tuple(slice(1 + o, 1 + o + s)
-                      for o, s in zip(offset, self.shape)))
-            for offset, c in zip(self.stencil.offsets,
-                                 self.stencil.coefficients))
+    def terms(self) -> tuple[tuple[float, tuple[tuple[slice, ...], ...]], ...]:
+        """(coefficient, haloed-vector slices) per distinct coefficient."""
+        groups: dict[float, list[tuple[slice, ...]]] = {}
+        for offset, c in zip(self.stencil.offsets, self.stencil.coefficients):
+            groups.setdefault(c, []).append(tuple(
+                slice(1 + o, 1 + o + s) for o, s in zip(offset, self.shape)))
+        return tuple((c, tuple(slices)) for c, slices in groups.items())
 
 
 @dataclass(frozen=True)
@@ -109,15 +111,26 @@ def make_grid_level(n: int, dimension: int,
 
 
 def apply_operator(level: GridLevel, u: np.ndarray) -> np.ndarray:
-    """Matrix-free stencil application with a zero Dirichlet halo."""
+    """Matrix-free stencil application with a zero Dirichlet halo; each
+    coefficient group is summed in place, scaled once and added up."""
     if u.shape != level.shape:
         raise ValueError(f"vector shape {u.shape} != level shape {level.shape}")
-    padded = np.zeros(tuple(s + 2 for s in u.shape), dtype=u.dtype)
+    padded = np.zeros(tuple(s + 2 for s in u.shape),
+                      dtype=np.result_type(u, 1.0))  # ints give floats
     padded[(slice(1, -1),) * u.ndim] = u
-    (c, sl), *rest = level.terms
-    out = c * padded[sl]
-    for c, sl in rest:
-        out += c * padded[sl]
+    out = scratch = None
+    for c, (first, *rest) in level.terms:
+        if rest:
+            scratch = np.add(padded[first], padded[rest[0]], out=scratch)
+            for sl in rest[1:]:
+                scratch += padded[sl]
+            scratch *= c
+        else:
+            scratch = np.multiply(padded[first], c, out=scratch)
+        if out is None:
+            out, scratch = scratch, None
+        else:
+            out += scratch
     return out
 
 
@@ -250,9 +263,12 @@ class Multigrid:
 
     def smooth(self, idx: int, f: np.ndarray, u: np.ndarray) -> np.ndarray:
         level = self.levels[idx]
-        r = f - apply_operator(level, u)
-        return u + _apply_polynomial(level, self.spec.smoother,
-                                     self.spec.preconditioner, r)
+        au = apply_operator(level, u)
+        out = _apply_polynomial(level, self.spec.smoother,
+                                self.spec.preconditioner,
+                                np.subtract(f, au, out=au))
+        out += u
+        return out
 
     def _cycle(self, idx: int, f: np.ndarray, u: np.ndarray) -> np.ndarray:
         if idx == len(self.levels) - 1:
@@ -261,7 +277,8 @@ class Multigrid:
             return self._lu.solve(f.ravel()).reshape(f.shape)
         for _ in range(self.spec.pre):
             u = self.smooth(idx, f, u)
-        residual = f - apply_operator(self.levels[idx], u)
+        residual = apply_operator(self.levels[idx], u)
+        np.subtract(f, residual, out=residual)
         rc = restrict(residual, self.spec.k)
         ec = np.zeros_like(rc)
         passes = 2 if self.spec.kind == W_CYCLE else 1
@@ -287,8 +304,11 @@ def _apply_polynomial(level: GridLevel, spec: SmootherSpec,
                       preconditioner: str, r: np.ndarray) -> np.ndarray:
     """R r = q(R0 A) R0 r: ``degree`` operator applications."""
     r0 = preconditioner_symbol(level.stencil, preconditioner)
-    return apply_q(spec, r / r0,
-                   lambda v: (r - apply_operator(level, v)) / r0)
+    def residual(v: np.ndarray) -> np.ndarray:  # (r - A v) / r0, in place
+        av = apply_operator(level, v)
+        return np.divide(np.subtract(r, av, out=av), r0, out=av)
+
+    return apply_q(spec, r / r0, residual)
 
 
 def apply_smoother(level: GridLevel, spec: SmootherSpec, preconditioner: str,

@@ -124,16 +124,22 @@ def apply_q(spec: SmootherSpec, b, residual):
     v_{-1} = 0, v_0 = gamma b and v_{j+1} = v_j + alpha_j (v_j - v_{j-1})
     + beta_j r_j with r_j = residual(v_j) = b - X v_j, taken ``degree``
     times.  X is scalar multiplication for the symbols and R0 A for the
-    solver, so both evaluate the same polynomial.
+    solver, so both evaluate the same polynomial.  The update runs in
+    place on two rotating buffers and never writes ``b``; ``residual``
+    must return a fresh array (or a scalar), which is scaled in place.
+    -alpha (v_{j-1} - v_j) rounds like alpha (v_j - v_{j-1}), so the
+    result compares equal to the one-expression update.
     """
     gamma, steps = _recurrence(spec)
     v_prev, v = 0.0, gamma * b
     for alpha, beta in steps:
-        # residual in its own statement: inside the update it keeps more
-        # temporaries alive.  The one update expression lets NumPy reuse
-        # its temporaries; carrying a step vector d_j would allocate more.
         rbar = residual(v)
-        v, v_prev = v + alpha * (v - v_prev) + beta * rbar, v
+        v_prev -= v
+        v_prev *= -alpha
+        v_prev += v
+        rbar *= beta
+        v_prev += rbar
+        v, v_prev = v_prev, v
     return v
 
 

@@ -430,7 +430,9 @@ def reproduce_table(index: int, sampling: FrequencySampling | None = None,
         return optimal_table(sampling, experiments=experiments,
                              iterations=iterations)
     if index == 5:
-        return v_cycle_table(sampling, experiments=experiments)
+        return v_cycle_table(sampling, experiments=experiments,
+                             iterations2d=iterations,
+                             iterations3d=min(iterations, 60))
     if index == 6:
         return triangular_table("equilateral", sampling)
     if index == 7:

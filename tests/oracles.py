@@ -164,6 +164,26 @@ def closed_form_error(spec, x) -> np.ndarray:
             + delta ** (m - 1) * e1 * cheb_U(m - 1, y))
 
 
+#: every smoother degree the reference tables use
+TABLE_DEGREES = (1, 2, 3, 5, 6, 8, 9, 14, 17, 18, 22, 43)
+
+
+def expression_apply_q(spec, b, residual):
+    """The smoother recurrence with its update written as one expression.
+
+    The reference for the in-place update of ``polynomials.apply_q``: the
+    same coefficients, every operation on fresh arrays.
+    """
+    from polymg.polynomials import _recurrence
+
+    gamma, steps = _recurrence(spec)
+    v_prev, v = 0.0, gamma * b
+    for alpha, beta in steps:
+        rbar = residual(v)
+        v, v_prev = v + alpha * (v - v_prev) + beta * rbar, v
+    return v
+
+
 # ---------------------------------------------------------------------------
 # eigenvalues via characteristic polynomial + Durand-Kerner iteration
 # ---------------------------------------------------------------------------
@@ -233,6 +253,13 @@ def naive_symbol(offsets, coefficients, h, theta) -> complex:
         phase = sum(t * o * hh for t, o, hh in zip(theta, off, h))
         acc += c * complex(np.cos(phase), np.sin(phase))
     return acc
+
+
+#: the bilinear (Q1) FEM Laplacian: a 9-point stencil, as a stencil file
+Q1_STENCIL = {"geometry": {"kind": "rectangular", "h": [1.0, 1.0]},
+              "entries": [{"offset": [i, j],
+                           "coefficient": 8 / 3 if i == j == 0 else -1 / 3}
+                          for i in (-1, 0, 1) for j in (-1, 0, 1)]}
 
 
 def assemble_fd_matrix(n: int, dimension: int) -> np.ndarray:

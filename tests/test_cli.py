@@ -6,6 +6,8 @@ import pytest
 from polymg import Stencil, build_fem_tri_laplace, cli, reproduce_table
 from polymg.cli import main
 
+from oracles import Q1_STENCIL
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -161,13 +163,6 @@ def test_optimize_smoothing_objective(capsys):
     assert report["mu"] == pytest.approx(0.086, abs=2e-3)
 
 
-#: the bilinear (Q1) FEM Laplacian: a 9-point stencil
-Q1_STENCIL = {"geometry": {"kind": "rectangular", "h": [1.0, 1.0]},
-              "entries": [{"offset": [i, j],
-                           "coefficient": 8 / 3 if i == j == 0 else -1 / 3}
-                          for i in (-1, 0, 1) for j in (-1, 0, 1)]}
-
-
 @pytest.mark.parametrize("k", [1, 2])
 def test_solve_runs_the_stencil_file(tmp_path, capsys, k):
     path = tmp_path / "q1.json"
@@ -214,6 +209,28 @@ def test_reproduce_table_five_lfa_only():
         assert row[2:] == [None, None, None]
         for col, got, ref in zip(result.columns[:2], row, want):
             assert abs(got - ref) <= tolerances[col], col
+
+
+def test_reproduce_table_five_passes_iterations(monkeypatch, capsys):
+    # 2D V-cycles run N iterations and 3D ones min(N, 60)
+    from types import SimpleNamespace
+
+    from polymg import tables
+
+    calls = []
+
+    def stub(cyc, n, dimension, iterations, **kwargs):
+        calls.append((dimension, iterations))
+        return SimpleNamespace(rate=0.1, ratios=[0.1])
+
+    monkeypatch.setattr(tables, "measure_asymptotic_rate", stub)
+    for run, want in ((lambda: reproduce_table(5, iterations=30), (30, 30)),
+                      (lambda: reproduce_table(5), (100, 60)),
+                      (lambda: run_cli(capsys, "reproduce", "--table", "5",
+                                       "--iterations", "80"), (80, 60))):
+        calls.clear()
+        run()
+        assert sorted(calls) == [(2, want[0])] * 9 + [(3, want[1])] * 9
 
 
 def test_reproduce_bounds_check(capsys):

@@ -9,10 +9,12 @@ from polymg import (BA1X, CHEBYSHEV, GALERKIN, JACOBI, L1_JACOBI,
                     Stencil, apply_operator, apply_smoother, build_fd_laplace,
                     lambda_bounds, make_grid_level, measure_asymptotic_rate,
                     prolongate, rectangular, restrict)
-from polymg.multigrid import GridLevel, assemble_matrix, hat_weights
+from polymg.multigrid import (GridLevel, _apply_polynomial, assemble_matrix,
+                              galerkin_stencil, hat_weights)
 
-from oracles import (assemble_fd_matrix, bilinear_weight_stencil,
-                     closed_form_error, galerkin_matrices)
+from oracles import (Q1_STENCIL, TABLE_DEGREES, assemble_fd_matrix,
+                     bilinear_weight_stencil, closed_form_error,
+                     galerkin_matrices)
 
 CHEB = SmootherSpec(CHEBYSHEV, 2, 0.5, 2.0)
 
@@ -33,14 +35,42 @@ def test_apply_operator_eigenmodes():
         assert np.max(np.abs(apply_operator(level, u) - lam * u)) < 1e-10 * lam
 
 
-@pytest.mark.parametrize("dimension,n", [(2, 7), (3, 5)])
-def test_apply_operator_matches_dense_assembly(dimension, n):
-    level = make_grid_level(n, dimension)
-    a = assemble_fd_matrix(n, dimension)
+def _q1_level(n):
+    return GridLevel((n, n), Stencil.from_dict(Q1_STENCIL))
+
+
+def _galerkin_level(n):
+    """The 27-point Galerkin stencil of the 7-point Laplacian, k = 1."""
+    fine = build_fd_laplace(rectangular(1.0, 3))
+    return GridLevel((n,) * 3, galerkin_stencil(fine, 1))
+
+
+def _anisotropic_level(n):
+    """hx = 1, hy = 1/2: two off-centre coefficient groups."""
+    return GridLevel((n, n), build_fd_laplace(rectangular((1.0, 0.5))))
+
+
+@pytest.mark.parametrize("dimension,n,make,groups", [
+    pytest.param(2, 7, None, 2, id="2-7"),
+    pytest.param(3, 5, None, 2, id="3-5"),
+    pytest.param(2, 7, _q1_level, 2, id="q1"),
+    pytest.param(3, 5, _galerkin_level, 4, id="galerkin-27"),
+    pytest.param(2, 7, _anisotropic_level, 3, id="anisotropic"),
+])
+def test_apply_operator_matches_dense_assembly(dimension, n, make, groups):
+    # groups = multiplies per application: one per distinct coefficient
+    level = make_grid_level(n, dimension) if make is None else make(n)
+    assert len(level.terms) == groups
     rng = np.random.default_rng(1)
     u = rng.standard_normal(level.shape)
     got = apply_operator(level, u).ravel()
-    assert np.max(np.abs(got - a @ u.ravel())) < 1e-9 * np.max(np.abs(got))
+    want = assemble_matrix(level) @ u.ravel()
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    if make is None:
+        a = assemble_fd_matrix(n, dimension)
+        assert np.max(np.abs(got - a @ u.ravel())) < 1e-9 * np.max(np.abs(got))
+    for dtype, want_dtype in ((np.float32, np.float32), (int, np.float64)):
+        assert apply_operator(level, u.astype(dtype)).dtype == want_dtype
 
 
 def test_assemble_matrix_consistent_with_apply():
@@ -97,10 +127,6 @@ def test_restrict_incompatible_size():
         restrict(np.zeros((6, 6)), 1)
 
 
-#: every smoother degree the reference tables use
-TABLE_DEGREES = (1, 2, 3, 5, 6, 8, 9, 14, 17, 18, 22, 43)
-
-
 def _dense_smoother_oracle(n, spec, r):
     """q(D^{-1}A) D^{-1} r via a dense generalized eigendecomposition.
 
@@ -124,9 +150,11 @@ def test_apply_smoother_matches_eigenbasis_oracle(spec):
     level = make_grid_level(n, 2)
     rng = np.random.default_rng(5)
     r = rng.standard_normal(level.shape)
+    r_in = r.copy()
     for degree in TABLE_DEGREES:
         at_degree = replace(spec, degree=degree)
         got = apply_smoother(level, at_degree, JACOBI, r)
+        assert np.array_equal(r, r_in), degree
         want = _dense_smoother_oracle(n, at_degree, r)
         assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want)), \
             degree
@@ -334,6 +362,27 @@ def test_galerkin_smooth_operator_application_count(monkeypatch):
         counts["n"] = 0
         mg.smooth(idx, rng.standard_normal(level.shape), np.zeros(level.shape))
         assert counts["n"] == spec.degree + 1, idx
+
+
+@pytest.mark.parametrize("coarse_mode", [REDISCRETIZED, GALERKIN])
+def test_smooth_and_cycle_leave_inputs_unmodified(coarse_mode):
+    # the in-place smoother equals u + R (f - A u) written out, and writes
+    # into neither f nor u
+    mg = Multigrid(CycleSpec(kind="v", k=1, smoother=CHEB,
+                             coarse_mode=coarse_mode), 15, 2)
+    rng = np.random.default_rng(11)
+    for idx, level in enumerate(mg.levels[:-1]):
+        f, u = rng.standard_normal((2,) + level.shape)
+        f_in, u_in = f.copy(), u.copy()
+        got = mg.smooth(idx, f, u)
+        assert np.array_equal(f, f_in) and np.array_equal(u, u_in)
+        want = u + _apply_polynomial(level, CHEB, JACOBI,
+                                     f - apply_operator(level, u))
+        assert np.array_equal(got, want), idx
+    f, u = rng.standard_normal((2,) + mg.shape)
+    f_in, u_in = f.copy(), u.copy()
+    mg.cycle(f, u)
+    assert np.array_equal(f, f_in) and np.array_equal(u, u_in)
 
 
 def test_l1_jacobi_galerkin_v_cycle_converges():

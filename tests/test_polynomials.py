@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from polymg import (BA1X, CHEBYSHEV, SA, SmootherSpec, ba1x_endpoint_errors,
                     error_poly, min_degree, optimal_lambda0_smoothing,
                     q_value)
-from polymg.polynomials import is_admissible
+from polymg.polynomials import apply_q, is_admissible
 
-from oracles import cheb_T, cheb_U, closed_form_error, remez_reciprocal
+from oracles import (TABLE_DEGREES, cheb_T, cheb_U, closed_form_error,
+                     expression_apply_q, remez_reciprocal)
 
 
 def test_cheb_values():
@@ -126,6 +127,27 @@ def test_scale_invariance(lam0, lam1, scale, degree):
         b = error_poly(SmootherSpec(family, degree, lam0 * scale,
                                     lam1 * scale), x * scale)
         assert np.max(np.abs(a - b)) < 1e-11
+
+
+@pytest.mark.parametrize("family,lam0", [(CHEBYSHEV, 0.5), (BA1X, 0.4),
+                                         (SA, 0.0)])
+def test_apply_q_equals_expression_recurrence(family, lam0):
+    # the in-place update must round like the one-expression update, on
+    # arrays, 0-d arrays and Python floats, and write into no input
+    grid = np.linspace(0.0, 2.0, 257)
+    for degree in (0,) + TABLE_DEGREES:
+        spec = SmootherSpec(family, degree, lam0, 2.0)
+        for x in (grid, np.asarray(0.7), 0.7):
+            b = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
+            got = apply_q(spec, b, lambda v: 1.0 - x * v)
+            want = expression_apply_q(spec, b, lambda v: 1.0 - x * v)
+            assert np.all(got == want), (degree, np.ndim(x))
+            assert np.all(b == 1.0)
+        x = grid.copy()
+        want = expression_apply_q(spec, np.ones_like(grid),
+                                  lambda v: 1.0 - grid * v)
+        assert np.all(q_value(spec, x) == want)
+        assert np.array_equal(x, grid)
 
 
 def test_q_value_constants():
