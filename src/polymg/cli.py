@@ -109,12 +109,13 @@ def _resolve_smoother(args, stencil: Stencil, sampling: FrequencySampling
 
 
 def _emit(report: dict, args) -> None:
+    # serialised in every format, so that no report carries NaN or infinity
+    text = json.dumps(report, indent=2, default=_jsonable,
+                      allow_nan=False) + "\n"
     if args.format == "csv":
         flat = _flatten(report)
         text = ",".join(flat) + "\n" + ",".join(
             _fmt(report, key) for key in flat) + "\n"
-    else:
-        text = json.dumps(report, indent=2, default=_jsonable) + "\n"
     if args.output:
         with open(args.output, "w") as f:
             f.write(text)

@@ -43,8 +43,8 @@ from .polynomials import SmootherSpec, error_poly
 from .smallmat import spectral_radii
 from .stencils import GridGeometry, RECTANGULAR, Stencil
 from .symbols import (FrequencySampling, JACOBI, fourier_sum,
-                      high_closure_mask, lambda_bounds, lattice_symbol,
-                      preconditioner_symbol, sample_frequencies,
+                      high_closure_values, lambda_bounds,
+                      preconditioner_symbol, read_only, sample_frequencies,
                       symbol_terms)
 
 GALERKIN = "galerkin"
@@ -74,8 +74,6 @@ class TwoGridConfig:
     sampling: FrequencySampling = field(default_factory=FrequencySampling)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("coarsening exponent k must be >= 1")
         if self.nu1 < 0 or self.nu2 < 0 or self.nu1 + self.nu2 < 1:
             raise ValueError("need nu1, nu2 >= 0 with nu1 + nu2 >= 1")
         if self.coarse_mode not in COARSE_MODES:
@@ -112,12 +110,15 @@ def smoothing_factor(stencil: Stencil, spec: SmootherSpec, k: int,
 
     Sampled over the closure of the high-frequency region (an inclusive
     lattice containing the low/high interface), so interval-endpoint
-    maxima are met exactly.
+    maxima are met exactly.  e is elementwise, so it runs only on the
+    sorted distinct X~ there (``high_closure_values``, cached per stencil,
+    preconditioner, sampling and k), bit-identical to every lattice point.
     """
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
     sampling = sampling or FrequencySampling()
     sampling.validate_ratio(k)
-    theta, x = lattice_symbol(stencil, preconditioner, sampling)
-    x = x[high_closure_mask(stencil.geometry, k, theta)]
+    x = high_closure_values(stencil, preconditioner, sampling, k)
     return float(np.max(np.abs(smoother_symbol(spec, x)) ** iterations))
 
 
@@ -128,9 +129,7 @@ def _alias_shifts(geometry: GridGeometry, k: int) -> np.ndarray:
     d = geometry.dimension
     shifts = np.stack(np.meshgrid(*([np.arange(m)] * d), indexing="ij"),
                       axis=-1).reshape(-1, d)
-    out = 2 * np.pi * shifts / (m * np.asarray(geometry.h))
-    out.flags.writeable = False
-    return out
+    return read_only(2 * np.pi * shifts / (m * np.asarray(geometry.h)))
 
 
 def harmonic_frequencies(geometry: GridGeometry, k: int,
@@ -172,10 +171,7 @@ def prolongation_symbol(theta: np.ndarray, k: int,
 def _hat_terms(k: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(h*offsets, weights) of the triangular coarse hat (read-only)."""
     offsets, weights = triangular_hat_weights(k)
-    offsets = offsets * h
-    offsets.flags.writeable = False
-    weights.flags.writeable = False
-    return offsets, weights
+    return read_only(offsets * h), read_only(weights)
 
 
 def triangular_hat_weights(k: int) -> tuple[np.ndarray, np.ndarray]:

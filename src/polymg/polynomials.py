@@ -60,6 +60,8 @@ class SmootherSpec:
             raise ValueError(f"unknown smoother family {self.family!r}")
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
+        if not (math.isfinite(self.lambda0) and math.isfinite(self.lambda1)):
+            raise ValueError("lambda0 and lambda1 must be finite")
         if self.lambda1 <= 0:
             raise ValueError("lambda1 must be positive")
         if self.family != SA:

@@ -25,6 +25,12 @@ PRECONDITIONERS = (JACOBI, L1_JACOBI)
 REAL_SYMBOL_TOL = 1e-12
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, marked read-only: how the LFA caches share their arrays."""
+    array.flags.writeable = False
+    return array
+
+
 def symbol_terms(stencil: Stencil) -> tuple[np.ndarray, np.ndarray]:
     """The frequency-free part of the symbol: (h*offsets, complex coefficients)."""
     return (stencil.offset_array * np.asarray(stencil.geometry.h),
@@ -94,6 +100,8 @@ class FrequencySampling:
             raise ValueError("offset_fraction must lie in (0, 1)")
 
     def validate_ratio(self, k: int) -> None:
+        if k < 1:
+            raise ValueError("coarsening exponent k must be >= 1")
         if self.samples_per_axis % 2**k:
             raise ValueError(
                 f"samples_per_axis={self.samples_per_axis} is not a multiple "
@@ -116,9 +124,10 @@ def lattice_symbol(stencil: Stencil, kind: str, sampling: FrequencySampling
                    ) -> tuple[np.ndarray, np.ndarray]:
     """The inclusive lattice and X~ on it.
 
-    ``lambda_bounds`` and ``smoothing_factor`` sweep the same lattice for
-    every k and smoother, so X~ is cached per (stencil, preconditioner,
-    sampling) and read-only; the lattice is cheap to rebuild.
+    X~ is cached per (stencil, preconditioner, sampling) and its sorted
+    distinct values over the high closure per (stencil, preconditioner,
+    sampling, k) (``high_closure_values``), both read-only; results read
+    from them are bit-identical to a full sweep.  The lattice is rebuilt.
     """
     x = _lattice_x(stencil, kind, sampling)  # first: one lattice at a time
     return frequency_lattice(stencil.geometry, sampling), x
@@ -127,10 +136,18 @@ def lattice_symbol(stencil: Stencil, kind: str, sampling: FrequencySampling
 @lru_cache(maxsize=4)
 def _lattice_x(stencil: Stencil, kind: str,
                sampling: FrequencySampling) -> np.ndarray:
-    x = preconditioned_symbol(stencil, kind,
-                              frequency_lattice(stencil.geometry, sampling))
-    x.flags.writeable = False
-    return x
+    return read_only(preconditioned_symbol(
+        stencil, kind, frequency_lattice(stencil.geometry, sampling)))
+
+
+@lru_cache(maxsize=16)
+def high_closure_values(stencil: Stencil, kind: str,
+                        sampling: FrequencySampling, k: int) -> np.ndarray:
+    """Sorted distinct X~ over the high closure of the lattice (read-only)."""
+    x = _lattice_x(stencil, kind, sampling)  # first: one lattice at a time
+    theta = frequency_lattice(stencil.geometry, sampling)
+    hi = high_closure_mask(stencil.geometry, k, theta)
+    return read_only(np.unique(x[hi]))
 
 
 def low_frequency_mask(geometry: GridGeometry, k: int,
@@ -170,14 +187,30 @@ def sample_frequencies(geometry: GridGeometry, k: int,
     return theta[low], theta[~low]
 
 
-def _polish_max(stencil: Stencil, kind: str, theta0: np.ndarray) -> float:
-    """Local refinement of max |X~| from a lattice seed (torus, unconstrained)."""
+def _polish_max(stencil: Stencil, kind: str, theta0: np.ndarray,
+                k: int | None = None) -> float:
+    """Local refinement of max |X~| from a lattice seed (torus); with ``k``,
+    points strictly inside the low box of 2^k coarsening never count."""
+    top = np.pi / np.asarray(stencil.geometry.h)
+
     def neg(t):
+        if k and not high_closure_mask(stencil.geometry, k,
+                                       top - np.mod(top - t, 2 * top)):
+            return np.inf
         return -abs(float(preconditioned_symbol(stencil, kind, t[None])[0]))
 
     res = minimize(neg, theta0, method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 2000})
     return -res.fun
+
+
+@lru_cache(maxsize=4)
+def _lambda1(stencil: Stencil, kind: str,
+             sampling: FrequencySampling) -> tuple[float, int]:
+    """max |X~| over all frequencies, polished, and its seed's index."""
+    theta, x = lattice_symbol(stencil, kind, sampling)
+    top = int(np.argmax(np.abs(x)))
+    return max(abs(float(x[top])), _polish_max(stencil, kind, theta[top])), top
 
 
 def _polish_face_min(stencil: Stencil, kind: str, k: int, axis: int,
@@ -210,7 +243,11 @@ def lambda_bounds(stencil: Stencil, kind: str, k: int,
     region (lattice sweep plus local refinement on the low-box faces, so
     boundary infima such as the 5-point value 1/2 are met exactly);
     lambda1 is the maximum over all frequencies, which is asserted to
-    agree with the maximum over the high range.
+    agree with the maximum over the high range.  lambda0's sweep reads
+    ``high_closure_values``; lambda1 and its polish are cached per
+    (stencil, preconditioner, sampling), and the high-range maximum,
+    polished inside the high closure, is only computed when lambda1's
+    seed lies outside it.  The bounds are bit-identical to full sweeps.
     """
     if not stencil.is_symmetric():
         raise ValueError("lambda bounds require a symmetric stencil")
@@ -221,31 +258,27 @@ def lambda_bounds(stencil: Stencil, kind: str, k: int,
     if np.min(x) < -REAL_SYMBOL_TOL:
         raise ValueError("preconditioned symbol is not positive semi-definite")
     ax = np.abs(x)
+    lam1, top = _lambda1(stencil, kind, sampling)
 
-    lam1 = float(np.max(ax))
-    lam1 = max(lam1, _polish_max(stencil, kind, theta[int(np.argmax(ax))]))
-
-    hi = high_closure_mask(geometry, k, theta)
-    theta_hi = theta[hi]
-    ax_hi = ax[hi]
-    lam0 = float(np.min(ax_hi))
-    d = geometry.dimension
+    values = high_closure_values(stencil, kind, sampling, k)
+    lam0 = float(np.min(np.abs(values)))
     b = np.pi / (2**k * np.asarray(geometry.h))
-    for axis in range(d):
+    for axis in range(geometry.dimension):  # face points are all high
         for sign in (-1.0, 1.0):
-            on_face = np.abs(theta_hi[:, axis] - sign * b[axis]) < 1e-12 * b[axis]
+            on_face = np.abs(theta[:, axis] - sign * b[axis]) < 1e-12 * b[axis]
             if not np.any(on_face):
                 continue
-            cand = theta_hi[on_face]
-            start = cand[int(np.argmin(ax_hi[on_face]))]
+            start = theta[on_face][int(np.argmin(ax[on_face]))]
             lam0 = min(lam0, _polish_face_min(stencil, kind, k, axis, sign, start))
 
-    lam1_high = float(np.max(ax_hi))
-    lam1_high = max(lam1_high,
-                    _polish_max(stencil, kind, theta_hi[int(np.argmax(ax_hi))]))
-    if abs(lam1_high - lam1) > 1e-9 * lam1:
-        raise ValueError(
-            f"symbol maximum {lam1:.6g} is not attained on the high range "
-            f"(high max {lam1_high:.6g}); lambda1 would be ambiguous"
-        )
+    if not high_closure_mask(geometry, k, theta[top]):
+        hi = high_closure_mask(geometry, k, theta)
+        seed = int(np.argmax(ax[hi]))
+        lam1_high = max(float(ax[hi][seed]),
+                        _polish_max(stencil, kind, theta[hi][seed], k))
+        if abs(lam1_high - lam1) > 1e-9 * lam1:
+            raise ValueError(
+                f"symbol maximum {lam1:.6g} is not attained on the high range "
+                f"(high max {lam1_high:.6g}); lambda1 would be ambiguous"
+            )
     return float(lam0), float(lam1)

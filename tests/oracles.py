@@ -261,6 +261,13 @@ Q1_STENCIL = {"geometry": {"kind": "rectangular", "h": [1.0, 1.0]},
                            "coefficient": 8 / 3 if i == j == 0 else -1 / 3}
                           for i in (-1, 0, 1) for j in (-1, 0, 1)]}
 
+#: X~ = 1 + (cos t1 + cos t2)/2 under Jacobi: its maximum 2 is at t = 0,
+#: inside every low box; over the high closure for k = 1 it is 1.5
+LOW_PEAK_STENCIL = {"geometry": {"kind": "rectangular", "h": [1.0, 1.0]},
+                    "entries": [{"offset": [0, 0], "coefficient": 1.0}]
+                    + [{"offset": list(o), "coefficient": 0.25}
+                       for o in ((1, 0), (-1, 0), (0, 1), (0, -1))]}
+
 
 def assemble_fd_matrix(n: int, dimension: int) -> np.ndarray:
     """Dense Dirichlet FD Laplacian on the unit domain via 1D Kronecker sums."""
@@ -296,3 +303,58 @@ def galerkin_matrices(fine, k: int, coarse_shapes) -> list:
         scale = float(2 ** (k * len(shape)))
         mats.append((p.T @ mats[-1] @ p).tocsr() / scale)
     return mats
+
+
+# ---------------------------------------------------------------------------
+# the LFA smoothing analysis by full lattice sweeps, with no cached values;
+# these share the symbol and polish routines and check only the caching
+# ---------------------------------------------------------------------------
+
+def full_sweep_smoothing_factor(stencil, spec, k: int, preconditioner: str,
+                                sampling, iterations: int = 1) -> float:
+    """max |e(X~)|^iterations over every lattice point of the high closure."""
+    from polymg.polynomials import error_poly
+    from polymg.symbols import (frequency_lattice, high_closure_mask,
+                                preconditioned_symbol)
+
+    theta = frequency_lattice(stencil.geometry, sampling)
+    x = preconditioned_symbol(stencil, preconditioner, theta)
+    x = x[high_closure_mask(stencil.geometry, k, theta)]
+    return float(np.max(np.abs(error_poly(spec, x)) ** iterations))
+
+
+def two_polish_lambda_bounds(stencil, kind: str, k: int,
+                             sampling) -> tuple[float, float]:
+    """lambda_bounds polishing lambda1 and the high-range maximum afresh.
+
+    Both maxima are refined from their own lattice seeds, unconstrained,
+    on every call; the faces are searched on the high closure.
+    """
+    from polymg.symbols import (_polish_face_min, _polish_max,
+                                frequency_lattice, high_closure_mask,
+                                preconditioned_symbol)
+
+    theta = frequency_lattice(stencil.geometry, sampling)
+    ax = np.abs(preconditioned_symbol(stencil, kind, theta))
+    lam1 = float(np.max(ax))
+    lam1 = max(lam1, _polish_max(stencil, kind, theta[int(np.argmax(ax))]))
+
+    hi = high_closure_mask(stencil.geometry, k, theta)
+    theta_hi, ax_hi = theta[hi], ax[hi]
+    lam0 = float(np.min(ax_hi))
+    b = np.pi / (2**k * np.asarray(stencil.geometry.h))
+    for axis in range(stencil.geometry.dimension):
+        for sign in (-1.0, 1.0):
+            on_face = (np.abs(theta_hi[:, axis] - sign * b[axis])
+                       < 1e-12 * b[axis])
+            if np.any(on_face):
+                start = theta_hi[on_face][int(np.argmin(ax_hi[on_face]))]
+                lam0 = min(lam0, _polish_face_min(stencil, kind, k, axis,
+                                                  sign, start))
+
+    lam1_high = float(np.max(ax_hi))
+    lam1_high = max(lam1_high, _polish_max(
+        stencil, kind, theta_hi[int(np.argmax(ax_hi))]))
+    if abs(lam1_high - lam1) > 1e-9 * lam1:
+        raise ValueError("symbol maximum is not attained on the high range")
+    return lam0, lam1

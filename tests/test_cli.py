@@ -6,7 +6,7 @@ import pytest
 from polymg import Stencil, build_fem_tri_laplace, cli, reproduce_table
 from polymg.cli import main
 
-from oracles import Q1_STENCIL
+from oracles import LOW_PEAK_STENCIL, Q1_STENCIL
 
 
 def run_cli(capsys, *argv):
@@ -266,6 +266,50 @@ def test_csv_format_output(capsys):
     mu = float(vals[cols.index("mu")])
     assert mu == pytest.approx(0.074, abs=1e-3)
     assert "." in vals[cols.index("mu")]  # locale-independent decimal point
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--lambda0", "nan"), "finite"),
+    (("--lambda1", "inf"), "finite"),
+    (("--k", "0"), "k must be >= 1"),
+    (("--k", "-1"), "k must be >= 1"),
+    (("--iterations", "0"), "iterations"),
+    (("--iterations", "-1"), "iterations"),
+], ids=["lambda0-nan", "lambda1-inf", "k0", "k-1", "iterations0",
+        "iterations-1"])
+def test_smoothing_factor_rejects_bad_values(capsys, flags, message):
+    code, out, err = run_cli(
+        capsys, "smoothing-factor", "--stencil", "fd2d", "--family", "cheb",
+        "--degree", "3", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert message in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_never_prints_nan(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(cli, "smoothing_factor",
+                        lambda *args, **kwargs: math.nan)
+    code, out, err = run_cli(
+        capsys, "smoothing-factor", "--stencil", "fd2d", "--family", "cheb",
+        "--degree", "3", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_stencil_file_maximum_off_the_high_range(tmp_path, capsys):
+    path = tmp_path / "low-peak.json"
+    path.write_text(json.dumps(LOW_PEAK_STENCIL))
+    code, out, err = run_cli(
+        capsys, "smoothing-factor", "--stencil-file", str(path), "--k", "1",
+        "--family", "cheb", "--degree", "3")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "not attained on the high range" in json.loads(err)["message"]
 
 
 def test_missing_stencil_flag(capsys):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from polymg import (BA1X, CHEBYSHEV, GALERKIN, JACOBI, REDISCRETIZED, SA,
+from polymg import (BA1X, CHEBYSHEV, GALERKIN, JACOBI, L1_JACOBI,
+                    REDISCRETIZED, SA,
                     FrequencySampling, SmootherSpec, TwoGridConfig,
                     build_fd_laplace, build_fem_tri_laplace, coarse_symbol,
                     error_poly, evaluate_symbol, harmonic_block,
@@ -15,9 +16,10 @@ from polymg import Stencil, lfa
 from polymg.lfa import (BlockEvaluator, coarse_correction_matrix,
                         two_grid_block)
 from polymg.smallmat import spectral_radii
-from polymg.tables import TRI_PRESETS
+from polymg.tables import SMOOTHING_DEGREES, TRI_DEGREES, TRI_PRESETS
 
-from oracles import bilinear_weight_stencil
+from oracles import (Q1_STENCIL, bilinear_weight_stencil,
+                     full_sweep_smoothing_factor, two_polish_lambda_bounds)
 
 FD2 = build_fd_laplace(rectangular(1.0, 2))
 FD3 = build_fd_laplace(rectangular(1.0, 3))
@@ -47,6 +49,46 @@ def test_smoothing_factor_optimal_ba():
     spec = SmootherSpec(BA1X, 17, lam_star, 2.0)
     mu = smoothing_factor(FD2, spec, 3, sampling=SAMPLING)
     assert mu == pytest.approx(0.053, abs=1e-3)
+
+
+EXACT_STENCILS = {
+    "fd2d": FD2, "fd3d": FD3,
+    **{name: build_fem_tri_laplace(*angles)
+       for name, angles in TRI_PRESETS.items()},
+    "anisotropic": build_fd_laplace(rectangular((1.0, 0.5))),
+    "q1": Stencil.from_dict(Q1_STENCIL)}
+
+
+@pytest.mark.parametrize("kind", [JACOBI, L1_JACOBI])
+@pytest.mark.parametrize("name", list(EXACT_STENCILS))
+def test_cached_smoothing_analysis_is_bit_identical(name, kind):
+    # the cached high-closure values and the reused lambda1 polish give
+    # exactly the numbers of sweeping and polishing afresh
+    stencil = EXACT_STENCILS[name]
+    for k in (1, 2, 3):
+        lam0, lam1 = lambda_bounds(stencil, kind, k, SAMPLING)
+        assert (lam0, lam1) == two_polish_lambda_bounds(stencil, kind, k,
+                                                        SAMPLING)
+        degree = (TRI_DEGREES[name][k] if name in TRI_DEGREES else
+                  SMOOTHING_DEGREES[stencil.geometry.dimension][k])
+        for spec in (SmootherSpec(CHEBYSHEV, degree, lam0, lam1),
+                     SmootherSpec(SA, degree, 0.0, lam1),
+                     SmootherSpec(BA1X, degree, lam0, lam1)):
+            for nu in (1, 2):
+                assert smoothing_factor(stencil, spec, k, kind, SAMPLING,
+                                        nu) == \
+                    full_sweep_smoothing_factor(stencil, spec, k, kind,
+                                                SAMPLING, nu)
+
+
+def test_smoothing_factor_validation():
+    spec = SmootherSpec(CHEBYSHEV, 2, 0.5, 2.0)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            smoothing_factor(FD2, spec, k)
+    for nu in (0, -1):
+        with pytest.raises(ValueError, match="iterations"):
+            smoothing_factor(FD2, spec, 1, iterations=nu)
 
 
 def test_prolongation_symbol_limits():

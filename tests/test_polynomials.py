@@ -76,6 +76,12 @@ def test_error_poly_rejects_degenerate():
         SmootherSpec(BA1X, 2, 0.0, 2.0)
     with pytest.raises(ValueError):
         SmootherSpec(CHEBYSHEV, 2, 2.0, 2.0)
+    # a NaN interval end fails every comparison, so it is rejected by name
+    for family in (CHEBYSHEV, SA, BA1X):
+        for lam0, lam1 in ((math.nan, 2.0), (0.5, math.nan), (0.5, math.inf),
+                           (-math.inf, 2.0)):
+            with pytest.raises(ValueError, match="finite"):
+                SmootherSpec(family, 2, lam0, lam1)
 
 
 def test_chebyshev_bounded_below_one_on_full_interval():

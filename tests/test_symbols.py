@@ -9,9 +9,13 @@ from polymg import (FrequencySampling, JACOBI, L1_JACOBI, Stencil,
                     build_fd_laplace, build_fem_tri_laplace, evaluate_symbol,
                     lambda_bounds, preconditioned_symbol,
                     preconditioner_symbol, rectangular, sample_frequencies)
-from polymg.symbols import frequency_lattice, lattice_symbol
+from polymg import symbols
+from polymg.symbols import (frequency_lattice, high_closure_values,
+                            lattice_symbol)
+from polymg.tables import TRI_PRESETS
 
-from oracles import naive_symbol
+from oracles import (LOW_PEAK_STENCIL, naive_symbol,
+                     two_polish_lambda_bounds)
 
 FD2 = build_fd_laplace(rectangular(1.0, 2))
 FD3 = build_fd_laplace(rectangular(1.0, 3))
@@ -93,6 +97,11 @@ def test_sample_frequencies_rejects_bad_ratio():
     with pytest.raises(ValueError, match="multiple"):
         sample_frequencies(rectangular(1.0, 2), 3,
                            FrequencySampling(samples_per_axis=4))
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            sample_frequencies(rectangular(1.0, 2), k, FrequencySampling())
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            lambda_bounds(FD2, JACOBI, k)
 
 
 @pytest.mark.parametrize("stencil,k,lam0", [
@@ -136,6 +145,73 @@ def test_lattice_symbol_is_cached_and_exact():
         assert np.array_equal(x, preconditioned_symbol(stencil, JACOBI, want))
         assert lattice_symbol(stencil, JACOBI, sampling)[1] is x
         assert not x.flags.writeable
+
+
+#: X~ = 1 + (cos 2t1 + cos 2t2)/2 peaks at t = 0 and on the high range
+TWIN_PEAKS = Stencil(rectangular(1.0, 2),
+                     ((0, 0), (2, 0), (-2, 0), (0, 2), (0, -2)),
+                     (1.0, 0.25, 0.25, 0.25, 0.25))
+
+
+def _count_polishes(monkeypatch):
+    """Record the k of every maximum polish (None: over all frequencies)."""
+    seen = []
+    polish = symbols._polish_max
+
+    def counted(stencil, kind, theta0, k=None):
+        seen.append(k)
+        return polish(stencil, kind, theta0, k)
+
+    symbols._lambda1.cache_clear()
+    monkeypatch.setattr(symbols, "_polish_max", counted)
+    return seen
+
+
+def test_lambda_bounds_rejects_maximum_off_the_high_range():
+    # an unconstrained polish from the high-range seed climbs to t = 0
+    with pytest.raises(ValueError, match="not attained on the high range"):
+        lambda_bounds(Stencil.from_dict(LOW_PEAK_STENCIL), JACOBI, 1)
+
+
+@pytest.mark.parametrize("kind", [JACOBI, L1_JACOBI])
+def test_high_range_polish_when_lambda1_seed_is_low(kind, monkeypatch):
+    sampling = FrequencySampling()
+    want = [two_polish_lambda_bounds(TWIN_PEAKS, kind, k, sampling)
+            for k in (1, 2, 3)]
+    seen = _count_polishes(monkeypatch)
+    assert [lambda_bounds(TWIN_PEAKS, kind, k, sampling)
+            for k in (1, 2, 3)] == want
+    # lambda1 once for all k, then the high-range maximum for each k
+    assert seen == [None, 1, 2, 3]
+
+
+BUILT_IN = {"fd2d": FD2, "fd3d": FD3,
+            **{name: build_fem_tri_laplace(*angles)
+               for name, angles in TRI_PRESETS.items()}}
+
+
+@pytest.mark.parametrize("kind", [JACOBI, L1_JACOBI])
+@pytest.mark.parametrize("name", list(BUILT_IN))
+def test_built_in_stencils_reuse_lambda1(name, kind, monkeypatch):
+    # lambda1's lattice seed lies in every high closure, so lambda1 is
+    # polished once for all k and the high-range maximum never again
+    seen = _count_polishes(monkeypatch)
+    for k in (1, 2, 3):
+        lambda_bounds(BUILT_IN[name], kind, k)
+    assert seen == [None]
+
+
+def test_high_closure_values_are_cached_read_only():
+    sampling = FrequencySampling(16)
+    for stencil in (FD2, FD3, ISO):
+        for k in (1, 2, 3):
+            theta = frequency_lattice(stencil.geometry, sampling)
+            mask = symbols.high_closure_mask(stencil.geometry, k, theta)
+            values = high_closure_values(stencil, JACOBI, sampling, k)
+            assert np.array_equal(values, np.unique(
+                preconditioned_symbol(stencil, JACOBI, theta)[mask]))
+            assert not values.flags.writeable
+            assert high_closure_values(stencil, JACOBI, sampling, k) is values
 
 
 def test_lambda_bounds_sampling_convergence():
