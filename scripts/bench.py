@@ -2,8 +2,7 @@
 """Write one benchmark file: machine, LFA-only table times, kernel timings
 and the per-layer counters of one traced table-2 reproduction.
 
-Usage: python scripts/bench.py --output BENCH_<n>.json [--repeats 3]
-                               [--kernel-seconds 1]
+Usage: python scripts/bench.py --output BENCH_<n>.json
 
 Every measurement runs in a fresh child process with one BLAS thread and
 imports polymg from the ``src/`` next to this script, so the file
@@ -12,9 +11,10 @@ describes that checkout.  Its keys:
 * ``machine``: the environment record of ``perfbench/run.py`` (nproc, CPU
   model, caches, Python, NumPy, SciPy, BLAS and its thread count, commit).
 * ``lfa_tables_s``: per table 1..7, the median and every wall time of
-  ``reproduce_table(i, experiments=False)``, each in its own cold child
+  ``reproduce_table(i, experiments=False)`` over three cold children
   (the import is not timed).
-* ``kernel_timings``: the rows ``scripts/kernel_timings.py`` prints.
+* ``kernel_timings``: the rows of ``scripts/kernel_timings.py`` at its
+  default time budget.
 * ``table2_trace``: calls, total and self seconds of every function that
   ``perfbench/tracer.py`` traces, plus its counters, over one cold
   ``reproduce_table(2, experiments=False)``.
@@ -37,19 +37,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                    "MKL_NUM_THREADS": "1"}
-KERNEL_COLUMNS = ("apply_operator_ms", "smooth_ms", "vcycle_ms",
+#: cold children per table; the median is reported
+REPEATS = 3
+KERNEL_COLUMNS = ("config", "apply_operator_ms", "smooth_ms", "vcycle_ms",
                   "faults_per_apply")
 
 
-def _run(argv: list[str]) -> str:
-    """Standard output of a fresh process with one BLAS thread."""
-    env = {**os.environ, **ONE_BLAS_THREAD, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, *argv], env=env, check=True,
-                          capture_output=True, text=True).stdout
-
-
 def _child(*args: str):
-    return json.loads(_run([__file__, "--child", *args]))
+    """The JSON one measurement prints in a fresh process with one BLAS
+    thread."""
+    env = {**os.environ, **ONE_BLAS_THREAD, "PYTHONPATH": str(ROOT / "src")}
+    return json.loads(subprocess.run(
+        [sys.executable, __file__, "--child", *args], env=env, check=True,
+        capture_output=True, text=True).stdout)
 
 
 def measure_machine() -> dict:
@@ -81,50 +81,41 @@ def measure_table2_trace() -> dict:
     return tracer.summary()
 
 
-def kernel_timings(seconds: float) -> list[dict]:
-    out = _run([str(ROOT / "scripts" / "kernel_timings.py"),
-                "--seconds", str(seconds)])
-    rows = []
-    for line in out.splitlines()[1:]:  # below the header
-        label, cells = line[:22].strip(), line[22:].split()
-        rows.append({"config": label,
-                     **dict(zip(KERNEL_COLUMNS, map(float, cells)))})
-    return rows
+def measure_kernels() -> list[dict]:
+    from kernel_timings import kernel_rows
+
+    return [dict(zip(KERNEL_COLUMNS, row)) for row in kernel_rows()]
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--output", help="the JSON file to write")
-    ap.add_argument("--repeats", type=int, default=3,
-                    help="cold children per table; the median is reported")
-    ap.add_argument("--kernel-seconds", type=float, default=1.0,
-                    help="kernel_timings.py --seconds")
     ap.add_argument("--child", nargs="+",
                     help="run one measurement in this process and print it "
-                         "as JSON: machine, table INDEX or trace")
+                         "as JSON: machine, table INDEX, kernels or trace")
     args = ap.parse_args(argv)
     if args.child:
-        sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+        sys.path[:0] = [str(ROOT / d) for d in ("src", "perfbench",
+                                                 "scripts")]
         kind, *rest = args.child
         value = {"machine": measure_machine,
                  "table": lambda: measure_table(int(rest[0])),
+                 "kernels": measure_kernels,
                  "trace": measure_table2_trace}[kind]()
         print(json.dumps(value))
         return 0
     if args.output is None:
         ap.error("--output is required")
-    if args.repeats < 1:
-        ap.error("--repeats must be >= 1")
 
     tables = {}
     for index in range(1, 8):
-        runs = [_child("table", str(index)) for _ in range(args.repeats)]
+        runs = [_child("table", str(index)) for _ in range(REPEATS)]
         tables[str(index)] = {"median": statistics.median(runs), "runs": runs}
         print(f"table {index}: {tables[str(index)]['median']:.3f} s",
               flush=True)
     report = {"machine": _child("machine"),
               "lfa_tables_s": tables,
-              "kernel_timings": kernel_timings(args.kernel_seconds),
+              "kernel_timings": _child("kernels"),
               "table2_trace": _child("trace"),
               "not_measured": ["tables with experiments", "Tier-1 wall time"]}
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")

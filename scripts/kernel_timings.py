@@ -45,13 +45,13 @@ def median_ms(fn, seconds: float) -> tuple[float, float]:
     return 1e3 * statistics.median(times), faults / len(times)
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seconds", type=float, default=2.0,
-                    help="minimum timed seconds per kernel")
-    args = ap.parse_args()
-    print(f"{'config (median ms)':<22}{'apply_operator':>16}{'smooth':>10}"
-          f"{'V-cycle':>10}{'faults/apply':>14}")
+#: minimum timed seconds per kernel
+SECONDS = 2.0
+
+
+def kernel_rows(seconds: float = SECONDS):
+    """Yield one row per configuration: (label, apply_operator ms, smooth
+    ms, V-cycle ms, minor page faults per apply_operator)."""
     for dimension, n, k, degree in CONFIGS:
         spec = CycleSpec(kind=V_CYCLE, k=k, pre=1, post=1,
                          smoother=SmootherSpec(CHEBYSHEV, degree, 0.25, 2.0))
@@ -59,14 +59,26 @@ def main() -> None:
         rng = np.random.default_rng(0)
         u = rng.standard_normal(mg.shape)
         f = np.zeros(mg.shape)
-        results = [median_ms(fn, args.seconds) for fn in (
-            lambda: apply_operator(mg.levels[0], u),
-            lambda: mg.smooth(0, f, u),
-            lambda: mg.cycle(f, u))]
-        label = f"{dimension}D n={n} k={k} deg {degree}"
-        cells = "".join(f"{ms:>{w}.3f}" for (ms, _), w in zip(results,
-                                                              (16, 10, 10)))
-        print(f"{label:<22}{cells}{results[0][1]:>14.0f}")
+        (apply_ms, faults), (smooth_ms, _), (cycle_ms, _) = [
+            median_ms(fn, seconds) for fn in (
+                lambda: apply_operator(mg.levels[0], u),
+                lambda: mg.smooth(0, f, u),
+                lambda: mg.cycle(f, u))]
+        yield (f"{dimension}D n={n} k={k} deg {degree}",
+               apply_ms, smooth_ms, cycle_ms, faults)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seconds", type=float, default=SECONDS,
+                    help="minimum timed seconds per kernel")
+    args = ap.parse_args()
+    print(f"{'config (median ms)':<22}{'apply_operator':>16}{'smooth':>10}"
+          f"{'V-cycle':>10}{'faults/apply':>14}")
+    for label, apply_ms, smooth_ms, cycle_ms, faults in kernel_rows(
+            args.seconds):
+        print(f"{label:<22}{apply_ms:>16.3f}{smooth_ms:>10.3f}"
+              f"{cycle_ms:>10.3f}{faults:>14.0f}")
 
 
 if __name__ == "__main__":
