@@ -13,9 +13,8 @@ from .polynomials import (BA1X, CHEBYSHEV, SA, SmootherSpec,
                           optimal_lambda0_smoothing, q_value)
 from .smallmat import matmul, spectral_radius
 from .lfa import (GALERKIN, REDISCRETIZED, HarmonicBlock, TwoGridConfig,
-                  coarse_symbol, harmonic_block, harmonic_frequencies,
-                  optimal_lambda0_two_grid, prolongation_symbol,
-                  rho_two_grid, smoother_symbol, smoothing_factor,
+                  harmonic_frequencies, optimal_lambda0_two_grid,
+                  prolongation_symbol, rho_two_grid, smoothing_factor,
                   two_grid_block)
 from .multigrid import (CycleSpec, GridLevel, Multigrid, apply_operator,
                         apply_smoother, make_grid_level,
@@ -33,9 +32,9 @@ __all__ = [
     "optimal_lambda0_smoothing", "q_value",
     "matmul", "spectral_radius",
     "GALERKIN", "REDISCRETIZED", "HarmonicBlock", "TwoGridConfig",
-    "coarse_symbol", "harmonic_block", "harmonic_frequencies",
-    "optimal_lambda0_two_grid", "prolongation_symbol", "rho_two_grid",
-    "smoother_symbol", "smoothing_factor", "two_grid_block",
+    "harmonic_frequencies", "optimal_lambda0_two_grid",
+    "prolongation_symbol", "rho_two_grid", "smoothing_factor",
+    "two_grid_block",
     "CycleSpec", "GridLevel", "Multigrid", "apply_operator",
     "apply_smoother", "make_grid_level", "measure_asymptotic_rate",
     "prolongate", "restrict",

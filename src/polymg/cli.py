@@ -187,8 +187,6 @@ def cmd_two_grid(args) -> None:
 def cmd_solve(args) -> None:
     sampling = FrequencySampling(samples_per_axis=args.samples)
     stencil = _resolve_stencil(args)
-    if stencil.geometry.kind != "rectangular":
-        raise CliError("the grid solver runs on rectangular grids only")
     spec, echo = _resolve_smoother(args, stencil, sampling)
     kinds = {"tg": "two-grid", "v": "v", "w": "w"}
     cyc = CycleSpec(kind=kinds[args.cycle], k=args.k, smoother=spec,

@@ -6,9 +6,10 @@ asymptotic convergence factor is the maximum block spectral radius over
 the sampled low frequencies.
 
 Transfer symbols: the prolongation is the inclusion of the 2^k-coarse
-nested piecewise-(multi)linear space (tensor hat weights on rectangular
-grids, the pyramid hat of the triangular P1 space in reciprocal
-coordinates).  Inside block assembly the inclusion symbols are divided by
+nested piecewise-(multi)linear space, the box spline that
+``stencils.transfer_factors`` defines for the LFA and the solver alike; its
+symbol is a product of Dirichlet kernels.  Inside block assembly the
+inclusion symbols are divided by
 the aggregate size 2^{kd}; with that normalization the Galerkin coarse
 symbol coincides with the rediscretized one whenever the coarse space is
 nested (linear FEM), and the rediscretized mode reproduces smooth modes
@@ -41,7 +42,7 @@ import numpy as np
 
 from .polynomials import SmootherSpec, error_poly
 from .smallmat import spectral_radii
-from .stencils import GridGeometry, RECTANGULAR, Stencil
+from .stencils import GridGeometry, Stencil, transfer_factors
 from .symbols import (FrequencySampling, JACOBI, fourier_sum,
                       high_closure_values, lambda_bounds,
                       preconditioner_symbol, read_only, sample_frequencies,
@@ -58,6 +59,10 @@ GAMMA_ROUNDING = 1e-12
 #: block entries assembled at once: a 3D, k = 3 sweep (512 blocks of
 #: 512 x 512) would otherwise hold gigabytes
 BATCH_ENTRIES = 2**22
+#: golden-section bracket width at which the two-grid lambda0 search stops
+LAMBDA0_TOL = 1e-4
+#: uniform-scan points of the two-grid lambda0 search's fallback
+LAMBDA0_SCAN_POINTS = 200
 
 
 @dataclass
@@ -89,17 +94,10 @@ class HarmonicBlock:
     same leading axes; one low frequency gives one group.
     """
 
-    base: np.ndarray                 # the low frequency theta^0
-    harmonics: np.ndarray            # (2^{kd}, d), wrapped
     fine_symbols: np.ndarray         # A~(theta^alpha), complex
     smoother_symbols: np.ndarray     # e(X~(theta^alpha)), real
     prolongation: np.ndarray         # P~(theta^alpha), real, 2^{kd} at 0
     coarse_symbol: complex           # A~_{2^k h}(theta^0)
-
-
-def smoother_symbol(spec: SmootherSpec, xtilde) -> np.ndarray:
-    """Fourier symbol of the smoother error operator = e(X~(theta))."""
-    return error_poly(spec, xtilde)
 
 
 def smoothing_factor(stencil: Stencil, spec: SmootherSpec, k: int,
@@ -119,7 +117,7 @@ def smoothing_factor(stencil: Stencil, spec: SmootherSpec, k: int,
     sampling = sampling or FrequencySampling()
     sampling.validate_ratio(k)
     x = high_closure_values(stencil, preconditioner, sampling, k)
-    return float(np.max(np.abs(smoother_symbol(spec, x)) ** iterations))
+    return float(np.max(np.abs(error_poly(spec, x)) ** iterations))
 
 
 @lru_cache(maxsize=16)
@@ -148,84 +146,34 @@ def harmonic_frequencies(geometry: GridGeometry, k: int,
 
 def prolongation_symbol(theta: np.ndarray, k: int,
                         geometry: GridGeometry) -> np.ndarray:
-    """Stencil symbol of the nested multilinear inclusion (value 2^{kd} at 0).
+    """Stencil symbol of the nested inclusion (value 2^{kd} at 0).
 
-    Rectangular grids: per-axis Fejer kernel (1/m)(sin(m t h/2)/sin(t h/2))^2
-    with m = 2^k.  Triangular grids: the P1 pyramid hat of the 2^k-coarse
-    space, summed directly over its hexagonal support.
+    prod D_m(theta . xi h)^p / m^(sum p - d) over the distinct box
+    directions xi of ``stencils.transfer_factors``, of multiplicity p, with
+    m = 2^k and the Dirichlet kernel D_m(t) = sin(m t/2)/sin(t/2).
     """
-    theta = np.asarray(theta, dtype=float)
     m = 2**k
-    if geometry.kind == RECTANGULAR:
-        half = theta * np.asarray(geometry.h) / 2.0
-        num = np.sin(m * half)
-        den = np.sin(half)
-        ratio = np.where(np.abs(den) < 1e-15, float(m),
-                         np.divide(num, den, out=np.full_like(num, float(m)),
-                                   where=np.abs(den) >= 1e-15))
-        return np.prod(ratio**2, axis=-1) / float(m) ** geometry.dimension
-    return fourier_sum(theta, *_hat_terms(k, geometry.h[0])).real
+    half = np.asarray(theta, dtype=float) * np.asarray(geometry.h) / 2.0
+    symbol, power = 1.0, -geometry.dimension
+    for p, directions in _box_directions(geometry):
+        t = half @ directions
+        den = np.sin(t)
+        ratio = np.divide(np.sin(m * t), den, out=np.full_like(den, float(m)),
+                          where=np.abs(den) >= 1e-15)
+        symbol = symbol * np.prod(ratio ** p, axis=-1)
+        power += p * directions.shape[1]
+    return symbol / float(m) ** power
 
 
 @lru_cache(maxsize=16)
-def _hat_terms(k: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(h*offsets, weights) of the triangular coarse hat (read-only)."""
-    offsets, weights = triangular_hat_weights(k)
-    return read_only(offsets * h), read_only(weights)
-
-
-def triangular_hat_weights(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal weights of the coarse P1 hat on the fine triangular lattice.
-
-    The hat is linear on the six coarse triangles around its vertex:
-    value 1 - max(|r1|, |r2|, |r1 - r2|)/2^k at fine offset (r1, r2).
-    """
-    m = 2**k
-    offsets, weights = [], []
-    for r1 in range(-m + 1, m):
-        for r2 in range(-m + 1, m):
-            w = 1.0 - max(abs(r1), abs(r2), abs(r1 - r2)) / m
-            if w > 0:
-                offsets.append((r1, r2))
-                weights.append(w)
-    return np.asarray(offsets, dtype=float), np.asarray(weights)
-
-
-def _coarse_values(p: np.ndarray, fine: np.ndarray, base: np.ndarray,
-                   coarse) -> np.ndarray:
-    """Coarse symbols at the base frequencies.
-
-    Galerkin (``coarse`` None) sums conj(p) A p over the harmonics of the
-    normalized inclusion symbols p; otherwise ``coarse`` holds the
-    ``symbol_terms`` of the stencil regenerated at mesh width 2^k h.
-    """
-    if coarse is None:
-        value = np.sum(np.conj(p) * fine * p, axis=-1)
-    else:
-        value = fourier_sum(base, *coarse)
-    if np.min(np.abs(value)) < SINGULAR_COARSE_TOL:
-        raise ValueError(
-            "singular coarse symbol at a base frequency; the sampling "
-            "offset should exclude the zero frequency"
-        )
-    return value
-
-
-def coarse_symbol(block: HarmonicBlock, mode: str, stencil: Stencil,
-                  k: int) -> complex:
-    """Coarse-grid operator symbol at the block's base frequency.
-
-    Galerkin sums conj(p) A p over the harmonics with the normalized
-    inclusion symbols p = P~/2^{kd}; rediscretized evaluates the stencil
-    regenerated at mesh width 2^k h.  Both agree for nested FEM spaces.
-    """
-    if mode not in COARSE_MODES:
-        raise ValueError(f"unknown coarse mode {mode!r}")
-    m_d = float(2 ** (k * stencil.geometry.dimension))
-    coarse = (None if mode == GALERKIN
-              else symbol_terms(stencil.with_mesh_width(float(2**k))))
-    return complex(_coarse_values(block.prolongation / m_d,
-                                  block.fine_symbols, block.base, coarse))
+def _box_directions(geometry: GridGeometry
+                    ) -> tuple[tuple[int, np.ndarray], ...]:
+    """Distinct transfer directions by multiplicity p: (p, columns (d, n))."""
+    listed = [xi for factor in transfer_factors(geometry) for xi in factor]
+    count = {xi: listed.count(xi) for xi in listed}
+    return tuple((p, read_only(np.array([xi for xi in count if count[xi] == p],
+                                        dtype=float).T))
+                 for p in sorted(set(count.values())))
 
 
 class BlockEvaluator:
@@ -233,7 +181,7 @@ class BlockEvaluator:
 
     Holds what does not depend on the base frequency (the stencil terms at
     both mesh widths and the preconditioner scalar; the alias shifts and the
-    triangular hat are cached per geometry), so one evaluator serves a
+    transfer directions are cached per geometry), so one evaluator serves a
     lattice sweep and every polish step after it.
     """
 
@@ -255,15 +203,22 @@ class BlockEvaluator:
         theta = harmonic_frequencies(geometry, cfg.k, theta0)
         fine = fourier_sum(theta, *self.fine)
         prol = prolongation_symbol(theta, cfg.k, geometry)
+        # Galerkin: conj(p) A p over the harmonics; else the coarse stencil
+        if self.coarse is None:
+            p = prol / self.m_d
+            coarse = np.sum(np.conj(p) * fine * p, axis=-1)
+        else:
+            coarse = fourier_sum(theta0, *self.coarse)
+        if np.min(np.abs(coarse)) < SINGULAR_COARSE_TOL:
+            raise ValueError(
+                "singular coarse symbol at a base frequency; the sampling "
+                "offset should exclude the zero frequency")
         return HarmonicBlock(
-            base=theta0,
-            harmonics=theta,
             fine_symbols=fine,
-            smoother_symbols=smoother_symbol(cfg.smoother,
-                                             fine.real / self.diagonal),
+            smoother_symbols=error_poly(cfg.smoother,
+                                        fine.real / self.diagonal),
             prolongation=prol,
-            coarse_symbol=_coarse_values(prol / self.m_d, fine, theta0,
-                                         self.coarse),
+            coarse_symbol=coarse,
         )
 
     def dense(self, block: HarmonicBlock) -> np.ndarray:
@@ -329,11 +284,6 @@ def _symmetric_radii(d: np.ndarray, u: np.ndarray,
     return np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
 
 
-def harmonic_block(cfg: TwoGridConfig, theta0: np.ndarray) -> HarmonicBlock:
-    """Assemble all per-harmonic symbols for one low frequency."""
-    return BlockEvaluator(cfg).block(theta0)
-
-
 def coarse_correction_matrix(block: HarmonicBlock, k: int,
                              dimension: int) -> np.ndarray:
     """C~ = I - p (A~_H)^{-1} r A~ with normalized inclusion column p."""
@@ -392,9 +342,7 @@ def rho_two_grid(cfg: TwoGridConfig, polish: bool = True, candidates: int = 3,
     return rho
 
 
-def optimal_lambda0_two_grid(cfg: TwoGridConfig,
-                             tol: float = 1e-4,
-                             scan_points: int = 200
+def optimal_lambda0_two_grid(cfg: TwoGridConfig
                              ) -> tuple[float, float, bool]:
     """lambda0 minimizing the two-grid factor, by golden-section search.
 
@@ -428,7 +376,7 @@ def optimal_lambda0_two_grid(cfg: TwoGridConfig,
         hi = min(lam1 * (1 - 1e-9), hi * 2.0)
         grow += 1
     if rho_at(lo) <= f_seed or rho_at(hi) <= f_seed:
-        grid = np.linspace(max(lo, 1e-6 * lam1), hi, scan_points)
+        grid = np.linspace(max(lo, 1e-6 * lam1), hi, LAMBDA0_SCAN_POINTS)
         values = [rho_at(g) for g in grid]
         i = int(np.argmin(values))
         best = float(grid[i])
@@ -439,7 +387,7 @@ def optimal_lambda0_two_grid(cfg: TwoGridConfig,
     a, b = lo, hi
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = rho_at(c), rho_at(d)
-    while b - a > tol:
+    while b - a > LAMBDA0_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -1,8 +1,9 @@
 """Matrix-free geometric multigrid on the unit square/cube.
 
-Dirichlet boundary, interior-only vectors with 2^p - 1 points per axis,
-2^k coarsening with piecewise-multilinear transfers (hat weights
-1 - |j|/2^k per axis; restriction is the adjoint scaled by 2^{-kd}).
+Dirichlet boundary, interior-only vectors with 2^p - 1 points per axis
+(lattice coordinates on triangular grids), 2^k coarsening with the nested
+hat of ``stencils.transfer_factors`` that the LFA analyses, one polyphase
+pass per factor; restriction is the adjoint scaled by 2^{-kd}.
 Every level, Galerkin coarse levels included, is a stencil applied
 matrix-free with one multiply per distinct coefficient, which rounds
 differently from the entry-by-entry sum in the last bits; only the
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +25,8 @@ from scipy.sparse.linalg import splu
 
 from .lfa import GALERKIN, REDISCRETIZED
 from .polynomials import SmootherSpec, apply_q, is_admissible
-from .stencils import Stencil, build_fd_laplace, rectangular
+from .stencils import (GridGeometry, Stencil, build_fd_laplace, rectangular,
+                       transfer_factors, transfer_table)
 from .symbols import JACOBI, preconditioner_symbol
 
 TWO_GRID = "two-grid"
@@ -35,7 +37,7 @@ CYCLE_KINDS = (TWO_GRID, V_CYCLE, W_CYCLE)
 
 @dataclass(frozen=True)
 class GridLevel:
-    """A rectangular level: interior extent and its operator's stencil."""
+    """A grid level: interior extent and its operator's stencil."""
 
     shape: tuple[int, ...]
     stencil: Stencil
@@ -153,60 +155,59 @@ def assemble_matrix(level: GridLevel) -> sp.csr_matrix:
         shape=(size, size))
 
 
-def hat_weights(k: int) -> np.ndarray:
-    """1D transfer weights (1 - |j|/2^k) for j = -(2^k - 1) .. 2^k - 1."""
+@lru_cache(maxsize=32)
+def _polyphase(factor: tuple[tuple[int, ...], ...], k: int) -> tuple:
+    """A transfer factor's axes, the leading axes they move to, and per
+    table entry (fine slices, weight): the fine points at the entry's
+    offset from every coarse point of any extent."""
     m = 2**k
-    j = np.arange(-m + 1, m)
-    return 1.0 - np.abs(j) / m
+    axes, offsets, weights = transfer_table(factor, k)
+    return axes, tuple(range(len(axes))), tuple(
+        (tuple(slice(m - 1 + r, r - m + 1 or None, m) for r in offset), w)
+        for offset, w in zip(offsets.tolist(), weights))
 
 
-def prolongate(coarse: np.ndarray, k: int) -> np.ndarray:
-    """Multilinear interpolation by a factor 2^k (tensor hat weights)."""
+def prolongate(coarse: np.ndarray, k: int,
+               geometry: GridGeometry) -> np.ndarray:
+    """Interpolation by a factor 2^k: one polyphase pass per transfer factor."""
     m = 2**k
-    w = hat_weights(k)
     out = coarse
-    for axis in range(coarse.ndim):
-        cur = np.moveaxis(out, axis, 0)
-        nc = cur.shape[0]
-        nf = m * (nc + 1) - 1
-        fine = np.zeros((nf,) + cur.shape[1:], dtype=cur.dtype)
-        for r, wr in zip(range(-m + 1, m), w):
-            fine[m - 1 + r::m][:nc] += wr * cur
-        out = np.moveaxis(fine, 0, axis)
+    for factor in transfer_factors(geometry):
+        axes, lead, taps = _polyphase(factor, k)
+        cur = np.moveaxis(out, axes, lead)
+        fine = np.zeros(tuple(m * (n + 1) - 1 for n in cur.shape[:len(axes)])
+                        + cur.shape[len(axes):], dtype=cur.dtype)
+        for index, w in taps:
+            fine[index] += w * cur
+        out = np.moveaxis(fine, lead, axes)
     return out
 
 
-def restrict(fine: np.ndarray, k: int) -> np.ndarray:
-    """Full weighting: adjoint of prolongate scaled by 2^{-k} per axis."""
+def restrict(fine: np.ndarray, k: int, geometry: GridGeometry) -> np.ndarray:
+    """Full weighting: adjoint of prolongate scaled by 2^{-kd}."""
     m = 2**k
-    w = hat_weights(k)
     out = fine
-    for axis in range(fine.ndim):
-        cur = np.moveaxis(out, axis, 0)
-        nf = cur.shape[0]
-        if (nf + 1) % m:
-            raise ValueError(f"axis extent {nf} incompatible with 2^{k} coarsening")
-        nc = (nf + 1) // m - 1
-        if nc < 1:
-            raise ValueError("grid too small to restrict")
-        coarse = np.zeros((nc,) + cur.shape[1:], dtype=cur.dtype)
-        for r, wr in zip(range(-m + 1, m), w):
-            coarse += wr * cur[m - 1 + r::m][:nc]
-        out = np.moveaxis(coarse / m, 0, axis)
+    for factor in transfer_factors(geometry):
+        axes, lead, taps = _polyphase(factor, k)
+        cur = np.moveaxis(out, axes, lead)
+        nf = cur.shape[:len(axes)]
+        if any((n + 1) % m or n < 2 * m - 1 for n in nf):
+            raise ValueError(f"extent {nf} cannot be coarsened by 2^{k}")
+        nc = tuple((n + 1) // m - 1 for n in nf)
+        coarse = np.zeros(nc + cur.shape[len(axes):], dtype=cur.dtype)
+        for index, w in taps:
+            coarse += w * cur[index]
+        out = np.moveaxis(coarse / float(m) ** len(axes), lead, axes)
     return out
 
 
-def prolongation_matrix(coarse_shape: tuple[int, ...], k: int) -> sp.csr_matrix:
-    """Sparse multilinear interpolation matrix (the Galerkin probe)."""
-    m = 2**k
-    out = sp.identity(1, format="csr")
-    for nc in coarse_shape:
-        cols = np.repeat(np.arange(nc), 2 * m - 1)
-        rows = m * (cols + 1) - 1 + np.tile(np.arange(-m + 1, m), nc)
-        p = sp.csr_matrix((np.tile(hat_weights(k), nc), (rows, cols)),
-                          shape=(m * (nc + 1) - 1, nc))
-        out = sp.kron(out, p, format="csr")
-    return out
+def prolongation_matrix(coarse_shape: tuple[int, ...], k: int,
+                        geometry: GridGeometry) -> sp.csr_matrix:
+    """Sparse interpolation matrix of a small grid (the Galerkin probe):
+    ``prolongate`` of every coarse unit vector, one column each."""
+    size = int(np.prod(coarse_shape))
+    columns = np.eye(size).reshape(tuple(coarse_shape) + (size,))
+    return sp.csr_matrix(prolongate(columns, k, geometry).reshape(-1, size))
 
 
 def galerkin_stencil(stencil: Stencil, k: int) -> Stencil:
@@ -217,7 +218,7 @@ def galerkin_stencil(stencil: Stencil, k: int) -> Stencil:
     at the Dirichlet boundary.
     """
     d, m = stencil.geometry.dimension, 2**k
-    p = prolongation_matrix((3,) * d, k)
+    p = prolongation_matrix((3,) * d, k, stencil.geometry)
     probe = assemble_matrix(GridLevel((4 * m - 1,) * d, stencil))
     row = ((p.T @ probe @ p)[3**d // 2] / float(m**d)).toarray().ravel()
     offsets, coefficients = zip(*(
@@ -279,12 +280,13 @@ class Multigrid:
             u = self.smooth(idx, f, u)
         residual = apply_operator(self.levels[idx], u)
         np.subtract(f, residual, out=residual)
-        rc = restrict(residual, self.spec.k)
+        geometry = self.levels[idx].stencil.geometry
+        rc = restrict(residual, self.spec.k, geometry)
         ec = np.zeros_like(rc)
         passes = 2 if self.spec.kind == W_CYCLE else 1
         for _ in range(passes):
             ec = self._cycle(idx + 1, rc, ec)
-        u = u + prolongate(ec, self.spec.k)
+        u = u + prolongate(ec, self.spec.k, geometry)
         for _ in range(self.spec.post):
             u = self.smooth(idx, f, u)
         return u

@@ -41,6 +41,11 @@ SA = "sa"
 BA1X = "ba1x"
 FAMILIES = (CHEBYSHEV, SA, BA1X)
 
+#: bisection width, relative to lambda1, of ``optimal_lambda0_smoothing``
+LAMBDA0_REL_TOL = 1e-10
+#: points of (0, lambda1] at which ``is_admissible`` checks |e| < 1
+ADMISSIBLE_SAMPLES = 4001
+
 
 @dataclass(frozen=True)
 class SmootherSpec:
@@ -190,8 +195,8 @@ def ba1x_endpoint_errors(m: int, lam: float, lam0: float, lam1: float
     return at_lambda1, lam0 * em
 
 
-def optimal_lambda0_smoothing(m: int, lambda0: float, lambda1: float,
-                              rel_tol: float = 1e-10) -> float:
+def optimal_lambda0_smoothing(m: int, lambda0: float,
+                              lambda1: float) -> float:
     """The interval left end minimizing max|e| over [lambda0, lambda1].
 
     The error at lambda1 decreases and the error at lambda0 increases as
@@ -213,7 +218,7 @@ def optimal_lambda0_smoothing(m: int, lambda0: float, lambda1: float,
         return lambda0
     if gap(hi) > 0:
         return hi
-    while hi - lo > rel_tol * lambda1:
+    while hi - lo > LAMBDA0_REL_TOL * lambda1:
         mid = 0.5 * (lo + hi)
         if gap(mid) > 0:
             lo = mid
@@ -239,7 +244,8 @@ def min_degree(rho: float, kappa: float, lambda1: float) -> int:
     return max(math.ceil(bound), 0)
 
 
-def is_admissible(spec: SmootherSpec, samples: int = 4001) -> bool:
+def is_admissible(spec: SmootherSpec) -> bool:
     """Convergent-smoother proxy: max |e(x)| < 1 on (0, lambda1]."""
-    x = np.linspace(spec.lambda1 / samples, spec.lambda1, samples)
+    x = np.linspace(spec.lambda1 / ADMISSIBLE_SAMPLES, spec.lambda1,
+                    ADMISSIBLE_SAMPLES)
     return bool(np.max(np.abs(error_poly(spec, x))) < 1.0)

@@ -3,7 +3,9 @@
 A stencil couples a lattice neighbourhood (integer offsets) to real
 coefficients; the geometry supplies the physical scaling and, for
 triangular grids, the two angles that characterize the mesh.  Offsets are
-stored unscaled so one stencil object serves every mesh width.
+stored unscaled so one stencil object serves every mesh width.  The
+geometry also fixes the coarse-grid transfer (``transfer_factors``), which
+the LFA symbol and the solver's grid transfers both read.
 """
 
 from __future__ import annotations
@@ -11,12 +13,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 RECTANGULAR = "rectangular"
 TRIANGULAR = "triangular"
+#: largest coefficient mismatch at -o and o of a symmetric stencil
+SYMMETRY_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -129,12 +134,12 @@ class Stencil:
     def coefficient_array(self) -> np.ndarray:
         return np.asarray(self.coefficients, dtype=float)
 
-    def is_symmetric(self, tol: float = 1e-14) -> bool:
+    def is_symmetric(self) -> bool:
         """coefficient at -o equals coefficient at o for every offset."""
         table = dict(zip(self.offsets, self.coefficients))
         for o, c in table.items():
             neg = tuple(-x for x in o)
-            if neg not in table or abs(table[neg] - c) > tol:
+            if neg not in table or abs(table[neg] - c) > SYMMETRY_TOL:
                 return False
         return True
 
@@ -211,3 +216,44 @@ def build_fem_tri_laplace(alpha: float, beta: float, h: float = 1.0) -> Stencil:
     coeffs = (2 * (ca + cb + cg), -cg, -cg, -ca, -ca, -cb, -cb)
     return Stencil(geometry=geometry, offsets=offsets,
                    coefficients=tuple(pref * c for c in coeffs))
+
+
+def transfer_factors(geometry: GridGeometry
+                     ) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The box directions of the 2^k coarse-grid transfer, grouped into factors.
+
+    The nested 2^k-coarse hat is the m-point box (m = 2^k) convolved along
+    them (de Boor, Hollig & Riemenschneider, *Box Splines*, 1993): each
+    rectangular axis twice, one factor per axis (the multilinear hat); e1,
+    e2 and e1 + e2 once in one factor on triangular grids (the P1 pyramid).
+    """
+    if geometry.kind == TRIANGULAR:
+        return (((1, 0), (0, 1), (1, 1)),)
+    d = geometry.dimension
+    return tuple(((0,) * a + (1,) + (0,) * (d - a - 1),) * 2 for a in range(d))
+
+
+@lru_cache(maxsize=32)
+def transfer_table(factor: tuple[tuple[int, ...], ...], k: int
+                   ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Nodal table of one transfer factor: (axes, offsets, weights).
+
+    The m-point box convolved along the factor's p directions on the a axes
+    they span, over m^(p - a) (weight 1 at offset 0); nonzero weights only,
+    read-only, offsets from the centre in lexicographic order."""
+    m = 2**k
+    directions = np.asarray(factor)
+    axes = tuple(int(a) for a in np.flatnonzero(directions.any(axis=0)))
+    table = np.ones((1,) * len(axes))
+    for xi in directions[:, axes]:
+        grown = np.zeros(table.shape + (m - 1) * xi)
+        for j in range(m):
+            grown[tuple(slice(j * x, j * x + n)
+                        for x, n in zip(xi, table.shape))] += table
+        table = grown
+    table /= float(m) ** (len(directions) - len(axes))
+    nodes = np.argwhere(table)
+    offsets = nodes - (np.asarray(table.shape) - 1) // 2
+    weights = table[tuple(nodes.T)]
+    offsets.flags.writeable = weights.flags.writeable = False
+    return axes, offsets, weights

@@ -109,15 +109,18 @@ class FrequencySampling:
             )
 
 
+def _lattice(geometry: GridGeometry, n: int, shift: float) -> np.ndarray:
+    """-pi/h_d + (j + shift) 2 pi/(n h_d), j = 0..n-1, on every axis."""
+    axes = [-np.pi / w + (2 * np.pi / (w * n)) * (np.arange(n) + shift)
+            for w in geometry.h]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
 def frequency_lattice(geometry: GridGeometry,
                       sampling: FrequencySampling) -> np.ndarray:
     """Inclusive uniform lattice over (-pi/h_d, pi/h_d] (contains 0 and pi/h)."""
-    n = sampling.samples_per_axis
-    axes = []
-    for w in geometry.h:
-        axes.append(-np.pi / w + (2 * np.pi / (w * n)) * np.arange(1, n + 1))
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return _lattice(geometry, sampling.samples_per_axis, 1.0)
 
 
 def lattice_symbol(stencil: Stencil, kind: str, sampling: FrequencySampling
@@ -176,13 +179,8 @@ def sample_frequencies(geometry: GridGeometry, k: int,
     never sampled; exactly (N/2^k)^d samples land in the low box.
     """
     sampling.validate_ratio(k)
-    n = sampling.samples_per_axis
-    axes = []
-    for w in geometry.h:
-        step = 2 * np.pi / (w * n)
-        axes.append(-np.pi / w + step * (np.arange(n) + sampling.offset_fraction))
-    grids = np.meshgrid(*axes, indexing="ij")
-    theta = np.stack([g.ravel() for g in grids], axis=-1)
+    theta = _lattice(geometry, sampling.samples_per_axis,
+                     sampling.offset_fraction)
     low = low_frequency_mask(geometry, k, theta)
     return theta[low], theta[~low]
 
@@ -218,18 +216,16 @@ def _polish_face_min(stencil: Stencil, kind: str, k: int, axis: int,
     """Minimize |X~| over one face of the low box, free coordinates bounded."""
     h = np.asarray(stencil.geometry.h)
     b = np.pi / (2**k * h)
-    d = stencil.geometry.dimension
     fixed = sign * b[axis]
 
     def val(free):
         t = np.insert(np.atleast_1d(free), axis, fixed)
         return abs(float(preconditioned_symbol(stencil, kind, t[None])[0]))
 
-    free0 = np.delete(start, axis)
-    if d == 1:
-        return val(np.empty(0))
-    bounds = [(-b[j], b[j]) for j in range(d) if j != axis]
-    res = minimize(val, free0, method="Powell", bounds=bounds,
+    free_b = np.delete(b, axis)
+    # the lattice seed may lie beyond the low box on a free axis
+    res = minimize(val, np.clip(np.delete(start, axis), -free_b, free_b),
+                   method="Powell", bounds=list(zip(-free_b, free_b)),
                    options={"xtol": 1e-12, "ftol": 1e-15, "maxiter": 2000})
     return float(res.fun)
 

@@ -40,6 +40,9 @@ LAMBDA1_ISOSCELES = 17.0 / 9.0
 #: the reference tables use the slightly larger round bound 17/9
 LAMBDA1_ISOSCELES_COMPUTED = 1.8880706
 
+#: interior points per axis of the measured-rate grids, by dimension
+GRID_N = {2: 255, 3: 63}
+
 SMOOTHING_DEGREES = {2: {1: 2, 2: 6, 3: 17}, 3: {1: 3, 2: 9, 3: 22}}
 TRI_DEGREES = {"equilateral": {1: 1, 2: 5, 3: 14},
                "isosceles-80": {1: 8, 2: 18, 3: 43}}
@@ -136,17 +139,17 @@ DOCUMENTED_DISCREPANCIES = {
         "same interface-sampling artifact as the 2D k=3 SA entry"),
     (6, 3, "ba"): (
         0.2089,
-        "a direct two-grid experiment on a 255^2 grid of this triangulation "
-        "measures 0.2086, matching this pipeline; the printed 0.236 is not "
+        "two-grid (1,0) on a 127^2 grid of this triangulation, 60 iterations, "
+        "measures 0.2075, matching this pipeline; the printed 0.236 is not "
         "reproducible from the stated parameters"),
     (7, 2, "ba"): (
         0.2477,
-        "direct 255^2 experiment measures 0.2464; printed 0.261 not "
-        "reproducible"),
+        "two-grid (1,0) on 127^2, 60 iterations, measures 0.2454; printed "
+        "0.261 not reproducible"),
     (7, 3, "ba"): (
         0.3570,
-        "direct 255^2 experiment measures 0.3564; printed 0.616 not "
-        "reproducible"),
+        "two-grid (1,0) on 127^2, 60 iterations, measures 0.3537; printed "
+        "0.616 not reproducible"),
 }
 
 
@@ -251,16 +254,17 @@ def _two_grid_rhos(stencil, spec, k, sampling) -> dict[str, float]:
     return out
 
 
-def _measure(extras: dict, label: str, cyc: CycleSpec, n: int, dimension: int,
+def _measure(extras: dict, label: str, cyc: CycleSpec, dimension: int,
              iterations: int) -> float:
     """Run one rate measurement, stashing the worst A-norm ratio."""
-    report = measure_asymptotic_rate(cyc, n, dimension, iterations=iterations)
+    report = measure_asymptotic_rate(cyc, GRID_N[dimension], dimension,
+                                     iterations=iterations)
     extras.setdefault("max_anorm_ratios", {})[label] = max(report.ratios)
     return report.rate
 
 
 def two_grid_table(sampling: FrequencySampling | None = None,
-                   experiments: bool = True, n: int = 255,
+                   experiments: bool = True,
                    iterations: int = 100) -> TableResult:
     """Table 3: two-grid LFA factors and measured two-grid rates (2D)."""
     sampling = sampling or FrequencySampling()
@@ -284,14 +288,14 @@ def two_grid_table(sampling: FrequencySampling | None = None,
                 cyc = CycleSpec(kind=TWO_GRID, k=k, smoother=spec, pre=1,
                                 post=0, coarse_mode=REDISCRETIZED)
                 row.append(_measure(extras, f"k={k}/{spec.family}/{spec.lambda0:.4g}",
-                                    cyc, n, 2, iterations))
+                                    cyc, 2, iterations))
                 # the W-cycle counterpart is reported alongside (the source
                 # labels its measured factors rho_W); two-grid is primary
                 wcyc = CycleSpec(kind=W_CYCLE, k=k, smoother=spec, pre=1,
                                  post=0, coarse_mode=REDISCRETIZED)
                 extras.setdefault("w_cycle_rates", {})[f"k={k}/{col}"] = \
                     _measure(extras, f"w/k={k}/{spec.family}/{spec.lambda0:.4g}",
-                             wcyc, n, 2, max(60, iterations // 2))
+                             wcyc, 2, max(60, iterations // 2))
             else:
                 row.append(None)
         rows.append(row)
@@ -305,7 +309,7 @@ def two_grid_table(sampling: FrequencySampling | None = None,
 
 
 def optimal_table(sampling: FrequencySampling | None = None,
-                  experiments: bool = True, n: int = 255,
+                  experiments: bool = True,
                   iterations: int = 100) -> TableResult:
     """Table 4: lambda0 tuned for the overall two-grid factor."""
     sampling = sampling or FrequencySampling()
@@ -325,7 +329,7 @@ def optimal_table(sampling: FrequencySampling | None = None,
                 spec = seed_spec.with_lambda0(lam0)
                 cyc = CycleSpec(kind=TWO_GRID, k=k, smoother=spec, pre=1,
                                 post=0, coarse_mode=REDISCRETIZED)
-                row.append(_measure(extras, f"k={k}/{family}", cyc, n, 2,
+                row.append(_measure(extras, f"k={k}/{family}", cyc, 2,
                                     iterations))
             else:
                 row.append(None)
@@ -340,13 +344,13 @@ def optimal_table(sampling: FrequencySampling | None = None,
 
 
 def v_cycle_table(sampling: FrequencySampling | None = None,
-                  experiments: bool = True, n2d: int = 255, n3d: int = 63,
+                  experiments: bool = True,
                   iterations2d: int = 100, iterations3d: int = 60
                   ) -> TableResult:
     """Table 5 (both parts): measured V(1,1) rates in 2D and 3D."""
     sampling = sampling or FrequencySampling()
     rows, labels, extras = [], [], {}
-    for dimension, n, iters in ((2, n2d, iterations2d), (3, n3d, iterations3d)):
+    for dimension, iters in ((2, iterations2d), (3, iterations3d)):
         stencil = _fd_stencil(dimension)
         for k in (1, 2, 3):
             deg = SMOOTHING_DEGREES[dimension][k]
@@ -363,7 +367,7 @@ def v_cycle_table(sampling: FrequencySampling | None = None,
                                 pre=1, post=1, coarse_mode=REDISCRETIZED)
                 row.append(_measure(
                     extras, f"{dimension}d/k={k}/{spec.family}/{spec.lambda0:.4g}",
-                    cyc, n, dimension, iters))
+                    cyc, dimension, iters))
             rows.append(row)
             labels.append(f"{dimension}d/k={k}")
     fixture = PAPER[5]

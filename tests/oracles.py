@@ -292,17 +292,91 @@ def bilinear_weight_stencil() -> dict[tuple[int, int], float]:
 def galerkin_matrices(fine, k: int, coarse_shapes) -> list:
     """Full-grid Galerkin products P^T A P / 2^{kd}, level by level.
 
-    The triple product of the whole grid's matrices, the route the solver
-    took before it read the coarse stencils from a small probe grid.
+    The triple product of the whole grid's matrices with the separable
+    multilinear transfer (rectangular grids), the route the solver took
+    before it read the coarse stencils from a small probe grid.
     """
-    from polymg.multigrid import prolongation_matrix
-
     mats = [fine.tocsr()]
     for shape in coarse_shapes:
-        p = prolongation_matrix(shape, k)
+        p = separable_prolongation_matrix(shape, k)
         scale = float(2 ** (k * len(shape)))
         mats.append((p.T @ mats[-1] @ p).tocsr() / scale)
     return mats
+
+
+# ---------------------------------------------------------------------------
+# separable multilinear transfers: one 1D hat pass per axis, written out
+# with their own weights; the rectangular reference for the solver's
+# transfers, which read the hat from ``stencils.transfer_factors``
+# ---------------------------------------------------------------------------
+
+def hat_weights(k: int) -> np.ndarray:
+    """1D transfer weights (1 - |j|/2^k) for j = -(2^k - 1) .. 2^k - 1."""
+    m = 2**k
+    j = np.arange(-m + 1, m)
+    return 1.0 - np.abs(j) / m
+
+
+def separable_prolongate(coarse: np.ndarray, k: int) -> np.ndarray:
+    """Multilinear interpolation by a factor 2^k (tensor hat weights)."""
+    m = 2**k
+    w = hat_weights(k)
+    out = coarse
+    for axis in range(coarse.ndim):
+        cur = np.moveaxis(out, axis, 0)
+        nc = cur.shape[0]
+        nf = m * (nc + 1) - 1
+        fine = np.zeros((nf,) + cur.shape[1:], dtype=cur.dtype)
+        for r, wr in zip(range(-m + 1, m), w):
+            fine[m - 1 + r::m][:nc] += wr * cur
+        out = np.moveaxis(fine, 0, axis)
+    return out
+
+
+def separable_restrict(fine: np.ndarray, k: int) -> np.ndarray:
+    """Full weighting: adjoint of prolongate scaled by 2^{-k} per axis."""
+    m = 2**k
+    w = hat_weights(k)
+    out = fine
+    for axis in range(fine.ndim):
+        cur = np.moveaxis(out, axis, 0)
+        nc = (cur.shape[0] + 1) // m - 1
+        coarse = np.zeros((nc,) + cur.shape[1:], dtype=cur.dtype)
+        for r, wr in zip(range(-m + 1, m), w):
+            coarse += wr * cur[m - 1 + r::m][:nc]
+        out = np.moveaxis(coarse / m, 0, axis)
+    return out
+
+
+def separable_prolongation_matrix(coarse_shape, k: int):
+    """Sparse multilinear interpolation matrix, a Kronecker product of 1D hats."""
+    import scipy.sparse as sp
+
+    m = 2**k
+    out = sp.identity(1, format="csr")
+    for nc in coarse_shape:
+        cols = np.repeat(np.arange(nc), 2 * m - 1)
+        rows = m * (cols + 1) - 1 + np.tile(np.arange(-m + 1, m), nc)
+        p = sp.csr_matrix((np.tile(hat_weights(k), nc), (rows, cols)),
+                          shape=(m * (nc + 1) - 1, nc))
+        out = sp.kron(out, p, format="csr")
+    return out
+
+
+def transfer_nodal_table(geometry, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, weights) of the whole coarse hat: the product of the
+    solver's per-factor nodal tables."""
+    from polymg.stencils import transfer_factors, transfer_table
+
+    d = geometry.dimension
+    offsets, weights = np.zeros((1, d), dtype=int), np.ones(1)
+    for factor in transfer_factors(geometry):
+        axes, local, w = transfer_table(factor, k)
+        factor = np.zeros((len(w), d), dtype=int)
+        factor[:, list(axes)] = local
+        offsets = (offsets[:, None, :] + factor[None, :, :]).reshape(-1, d)
+        weights = (weights[:, None] * w[None, :]).ravel()
+    return offsets, weights
 
 
 # ---------------------------------------------------------------------------

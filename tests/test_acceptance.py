@@ -16,11 +16,11 @@ import pytest
 from polymg import (BA1X, CHEBYSHEV, GALERKIN, JACOBI, REDISCRETIZED, SA,
                     FrequencySampling, SmootherSpec, TwoGridConfig,
                     ba1x_endpoint_errors, build_fd_laplace,
-                    build_fem_tri_laplace, coarse_symbol, error_poly,
-                    evaluate_symbol, harmonic_block, harmonic_frequencies,
+                    build_fem_tri_laplace, error_poly, evaluate_symbol,
+                    harmonic_frequencies,
                     make_grid_level, q_value, rectangular,
                     sample_frequencies)
-from polymg.lfa import coarse_correction_matrix
+from polymg.lfa import BlockEvaluator, coarse_correction_matrix
 from polymg.polynomials import min_degree
 from polymg.tables import (DOCUMENTED_DISCREPANCIES,
                            LAMBDA1_ISOSCELES_COMPUTED, reproduce_table)
@@ -276,12 +276,10 @@ def test_criterion_8_triangular_tables(table6, table7):
     spec = SmootherSpec(CHEBYSHEV, 1, 0.5, 1.5)
     rng = np.random.default_rng(5)
     for k in (1, 2):
-        cfg = TwoGridConfig(stencil=stencil, smoother=spec, k=k,
-                            coarse_mode=GALERKIN)
         theta0 = rng.uniform(-np.pi / 2**k, np.pi / 2**k, size=2)
-        blk = harmonic_block(cfg, theta0)
-        gal = coarse_symbol(blk, GALERKIN, stencil, k)
-        red = coarse_symbol(blk, REDISCRETIZED, stencil, k)
+        gal, red = (BlockEvaluator(TwoGridConfig(
+            stencil=stencil, smoother=spec, k=k, coarse_mode=mode)
+        ).block(theta0).coarse_symbol for mode in (GALERKIN, REDISCRETIZED))
         assert abs(gal - red) <= 1e-10 * abs(red)
     record_acceptance(
         "ACCEPTANCE 8 (triangular LFA tables): PASS "
@@ -339,7 +337,7 @@ def test_criterion_9_property_suites(table3, table4, table5):
     spec = SmootherSpec(CHEBYSHEV, 2, 0.5, 2.0)
     cfg = TwoGridConfig(stencil=fd2, smoother=spec, k=2, coarse_mode=GALERKIN)
     theta0 = rng.uniform(-np.pi / 4, np.pi / 4, size=2)
-    blk = harmonic_block(cfg, theta0)
+    blk = BlockEvaluator(cfg).block(theta0)
     c = coarse_correction_matrix(blk, 2, 2)
     assert np.max(np.abs(c @ c - c)) < 1e-10
 

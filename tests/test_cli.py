@@ -100,6 +100,20 @@ def test_solve_roundtrip_bitwise(capsys):
     assert first["ratios"] == second["ratios"]
 
 
+def test_solve_triangular_preset(capsys):
+    # the triangular solver transfers with the P1 pyramid the LFA analyses,
+    # so its two-grid rate meets the LFA factor 0.1295 of this smoother
+    code, out, err = run_cli(
+        capsys, "solve", "--stencil", "tri", "--preset", "equilateral",
+        "--cycle", "tg", "--pre", "1", "--post", "0", "--k", "1",
+        "--family", "cheb", "--degree", "1", "--n", "127",
+        "--iterations", "60")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["stencil"]["geometry"]["kind"] == "triangular"
+    assert report["rate"] == pytest.approx(0.1295, abs=5e-3)
+
+
 def test_solve_rejects_low_iterations(capsys):
     code, _, err = run_cli(
         capsys, "solve", "--stencil", "fd2d", "--family", "cheb",

@@ -6,32 +6,26 @@ import pytest
 from polymg import (BA1X, CHEBYSHEV, GALERKIN, JACOBI, L1_JACOBI,
                     REDISCRETIZED, SA,
                     FrequencySampling, SmootherSpec, TwoGridConfig,
-                    build_fd_laplace, build_fem_tri_laplace, coarse_symbol,
-                    error_poly, evaluate_symbol, harmonic_block,
-                    harmonic_frequencies, lambda_bounds,
+                    build_fd_laplace, build_fem_tri_laplace, error_poly,
+                    evaluate_symbol, harmonic_frequencies, lambda_bounds,
                     optimal_lambda0_smoothing, optimal_lambda0_two_grid,
                     prolongation_symbol, rectangular, rho_two_grid,
-                    sample_frequencies, smoother_symbol, smoothing_factor)
+                    sample_frequencies, smoothing_factor)
 from polymg import Stencil, lfa
 from polymg.lfa import (BlockEvaluator, coarse_correction_matrix,
                         two_grid_block)
 from polymg.smallmat import spectral_radii
+from polymg.symbols import fourier_sum
 from polymg.tables import SMOOTHING_DEGREES, TRI_DEGREES, TRI_PRESETS
 
 from oracles import (Q1_STENCIL, bilinear_weight_stencil,
-                     full_sweep_smoothing_factor, two_polish_lambda_bounds)
+                     full_sweep_smoothing_factor, transfer_nodal_table,
+                     two_polish_lambda_bounds)
 
 FD2 = build_fd_laplace(rectangular(1.0, 2))
 FD3 = build_fd_laplace(rectangular(1.0, 3))
 EQUI = build_fem_tri_laplace(math.pi / 3, math.pi / 3)
 SAMPLING = FrequencySampling(samples_per_axis=64)
-
-
-def test_smoother_symbol_is_error_poly():
-    spec = SmootherSpec(CHEBYSHEV, 2, 0.5, 2.0)
-    x = np.linspace(0.0, 2.0, 57)
-    assert np.allclose(smoother_symbol(spec, x), error_poly(spec, x))
-    assert smoother_symbol(spec, 0.0) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("stencil,k,spec,expected,tol", [
@@ -115,6 +109,24 @@ def test_prolongation_symbol_matches_bilinear_stencil():
         assert abs(direct.imag) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["fd2d", "fd3d", "equilateral",
+                                  "isosceles-80"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_prolongation_symbol_is_the_solver_tables_fourier_sum(name, k):
+    # the closed-form symbol against the nodal tables the solver applies
+    geometry = EXACT_STENCILS[name].geometry
+    d = geometry.dimension
+    h = np.asarray(geometry.h)
+    rng = np.random.default_rng(k)
+    theta = np.vstack([np.zeros(d), np.full(d, np.pi),
+                       rng.uniform(-np.pi, np.pi, size=(40, d))]) / h
+    offsets, weights = transfer_nodal_table(geometry, k)
+    want = fourier_sum(theta, offsets * h, weights.astype(complex))
+    assert np.max(np.abs(want.imag)) <= 1e-12
+    got = prolongation_symbol(theta, k, geometry)
+    assert np.max(np.abs(got - want.real)) <= 1e-12
+
+
 def test_triangular_prolongation_nested_composition():
     # direct factor-4 inclusion equals two composed factor-2 inclusions
     rng = np.random.default_rng(12)
@@ -166,6 +178,12 @@ def _config(stencil, spec, k, mode, nu1=1, nu2=0):
                          nu2=nu2, coarse_mode=mode, sampling=SAMPLING)
 
 
+def _coarse_symbol(stencil, spec, k, mode, theta0):
+    """The block's coarse-grid symbol at one base frequency, in ``mode``."""
+    return BlockEvaluator(_config(stencil, spec, k, mode)).block(
+        theta0).coarse_symbol
+
+
 def test_coarse_symbol_nested_fem_identity():
     rng = np.random.default_rng(4)
     spec = SmootherSpec(CHEBYSHEV, 1, 0.5, 1.5)
@@ -173,18 +191,16 @@ def test_coarse_symbol_nested_fem_identity():
         for _ in range(5):
             b = np.pi / 2**k
             theta0 = rng.uniform(-b, b, size=2)
-            blk_g = harmonic_block(_config(EQUI, spec, k, GALERKIN), theta0)
-            gal = coarse_symbol(blk_g, GALERKIN, EQUI, k)
-            red = coarse_symbol(blk_g, REDISCRETIZED, EQUI, k)
+            gal, red = (_coarse_symbol(EQUI, spec, k, mode, theta0)
+                        for mode in (GALERKIN, REDISCRETIZED))
             assert abs(gal - red) < 1e-10 * abs(red)
 
 
 def test_coarse_symbol_fd_modes_differ():
     spec = SmootherSpec(CHEBYSHEV, 2, 0.5, 2.0)
     theta0 = np.array([np.pi / 4, np.pi / 8])
-    blk = harmonic_block(_config(FD2, spec, 1, GALERKIN), theta0)
-    gal = coarse_symbol(blk, GALERKIN, FD2, 1)
-    red = coarse_symbol(blk, REDISCRETIZED, FD2, 1)
+    gal, red = (_coarse_symbol(FD2, spec, 1, mode, theta0)
+                for mode in (GALERKIN, REDISCRETIZED))
     assert abs(gal - red) > 1e-3 * abs(red)
 
 
@@ -193,9 +209,8 @@ def test_coarse_symbol_vanishes_at_zero():
     values = []
     for eps in (1e-2, 1e-3):
         theta0 = np.array([eps, eps / 2])
-        blk = harmonic_block(_config(FD2, spec, 1, GALERKIN), theta0)
-        values.append((abs(coarse_symbol(blk, GALERKIN, FD2, 1)),
-                       abs(coarse_symbol(blk, REDISCRETIZED, FD2, 1))))
+        values.append(tuple(abs(_coarse_symbol(FD2, spec, 1, mode, theta0))
+                            for mode in (GALERKIN, REDISCRETIZED)))
     assert values[1][0] < 0.02 * values[0][0] + 1e-12
     assert values[1][1] < 0.02 * values[0][1] + 1e-12
 
@@ -206,7 +221,7 @@ def test_galerkin_correction_is_projection():
     for k in (1, 2):
         b = np.pi / 2**k
         theta0 = rng.uniform(-b, b, size=2)
-        blk = harmonic_block(_config(FD2, spec, k, GALERKIN), theta0)
+        blk = BlockEvaluator(_config(FD2, spec, k, GALERKIN)).block(theta0)
         c = coarse_correction_matrix(blk, k, 2)
         assert np.max(np.abs(c @ c - c)) < 1e-10
         # the correction annihilates the prolongated coarse mode
