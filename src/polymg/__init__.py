@@ -8,10 +8,9 @@ from .stencils import (GridGeometry, Stencil, build_fd_laplace,
 from .symbols import (FrequencySampling, JACOBI, L1_JACOBI, evaluate_symbol,
                       lambda_bounds, preconditioned_symbol,
                       preconditioner_symbol, sample_frequencies)
-from .polynomials import (BA1X, CHEBYSHEV, SA, SmootherSpec,
-                          ba1x_endpoint_errors, error_poly, min_degree,
-                          optimal_lambda0_smoothing, q_value)
-from .smallmat import matmul, spectral_radius
+from .polynomials import (BA1X, CHEBYSHEV, SA, SmootherSpec, error_poly,
+                          min_degree, optimal_lambda0_smoothing, q_value)
+from .smallmat import spectral_radius
 from .lfa import (GALERKIN, REDISCRETIZED, HarmonicBlock, TwoGridConfig,
                   harmonic_frequencies, optimal_lambda0_two_grid,
                   prolongation_symbol, rho_two_grid, smoothing_factor,
@@ -28,9 +27,8 @@ __all__ = [
     "lambda_bounds", "preconditioned_symbol", "preconditioner_symbol",
     "sample_frequencies",
     "BA1X", "CHEBYSHEV", "SA", "SmootherSpec",
-    "ba1x_endpoint_errors", "error_poly", "min_degree",
-    "optimal_lambda0_smoothing", "q_value",
-    "matmul", "spectral_radius",
+    "error_poly", "min_degree", "optimal_lambda0_smoothing", "q_value",
+    "spectral_radius",
     "GALERKIN", "REDISCRETIZED", "HarmonicBlock", "TwoGridConfig",
     "harmonic_frequencies", "optimal_lambda0_two_grid",
     "prolongation_symbol", "rho_two_grid", "smoothing_factor",

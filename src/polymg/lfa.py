@@ -239,7 +239,7 @@ class BlockEvaluator:
         """Spectral radii of a batch of blocks (leading axis B).
 
         Symmetric form E D E where it is valid (see the module docstring),
-        dense eigenvalues of the assembled block everywhere else.
+        ``smallmat.spectral_radii`` of the assembled block everywhere else.
         """
         cfg = self.cfg
         out = np.empty(np.shape(block.coarse_symbol))

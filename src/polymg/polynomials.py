@@ -84,21 +84,6 @@ class SmootherSpec:
         return {"family": self.family, "degree": self.degree,
                 "lambda0": self.lambda0, "lambda1": self.lambda1}
 
-    @staticmethod
-    def from_dict(d: dict) -> "SmootherSpec":
-        return SmootherSpec(family=d["family"], degree=int(d["degree"]),
-                            lambda0=float(d["lambda0"]),
-                            lambda1=float(d["lambda1"]))
-
-
-def _ba1x_constants(lam0: float, lam1: float) -> tuple[float, float, float, float]:
-    """(mu0, mu1, delta, c) of the recurrence on [lam0, lam1]."""
-    mu0, mu1 = 1.0 / lam1, 1.0 / lam0
-    kappa = lam1 / lam0
-    delta = (math.sqrt(kappa) - 1) / (math.sqrt(kappa) + 1)
-    c = 4 * mu0 * mu1 / (math.sqrt(mu0) + math.sqrt(mu1)) ** 2
-    return mu0, mu1, delta, c
-
 
 def _recurrence(spec: SmootherSpec) -> tuple[float, list[tuple[float, float]]]:
     """(gamma, [(alpha_j, beta_j)] for the degree steps) of apply_q."""
@@ -117,7 +102,10 @@ def _recurrence(spec: SmootherSpec) -> tuple[float, list[tuple[float, float]]]:
         return 4.0 / (3.0 * lam1), [
             ((2 * j - 1) / (2 * j + 3), 4 * (2 * j + 1) / ((2 * j + 3) * lam1))
             for j in range(1, m + 1)]
-    mu0, mu1, delta, c = _ba1x_constants(lam0, lam1)
+    mu0, mu1 = 1.0 / lam1, 1.0 / lam0
+    kappa = lam1 / lam0
+    delta = (math.sqrt(kappa) - 1) / (math.sqrt(kappa) + 1)
+    c = 4 * mu0 * mu1 / (math.sqrt(mu0) + math.sqrt(mu1)) ** 2
     gamma = 0.5 * (mu0 + mu1)
     g = 2 * mu0 * mu1 / (mu0 + mu1)
     s = 0.5 * (math.sqrt(mu0) + math.sqrt(mu1)) ** 2
@@ -162,47 +150,15 @@ def q_value(spec: SmootherSpec, x) -> np.ndarray:
     return apply_q(spec, np.ones_like(x), lambda v: 1.0 - x * v)
 
 
-def ba1x_endpoint_errors(m: int, lam: float, lam0: float, lam1: float
-                         ) -> tuple[float, float]:
-    """Closed-form endpoint errors of p_m built on [lam, lam1].
-
-    Returns (|1 - lam1 p_m(lam1; lam)|, lam0 * E_m(lam0; lam)) where
-    E_m(x) = 1/x - p_m(x) has the explicit second-kind-Chebyshev form
-    E_m = -delta^m E_0 U_{m-2}(y) + delta^{m-1} E_1 U_{m-1}(y) with
-    y = (1 + delta^2 - c x)/(2 delta).  The U terms are evaluated through
-    the scaled recurrence V_j = delta^j U_j(y), which stays bounded for
-    x in [0, lambda1].
-    """
-    if m < 1:
-        raise ValueError("endpoint errors need m >= 1")
-    if not lam0 <= lam <= lam1:
-        raise ValueError("need lambda0 <= lambda <= lambda1")
-    if lam == lam1:
-        raise ValueError("lambda = lambda1 is degenerate (kappa = 1)")
-    kappa = lam1 / lam
-    delta = (math.sqrt(kappa) - 1) / (math.sqrt(kappa) + 1)
-    at_lambda1 = delta**m * (kappa - 1) / 2.0
-
-    mu0, mu1, delta, c = _ba1x_constants(lam, lam1)
-    x = lam0
-    y = (1.0 + delta**2 - c * x) / (2.0 * delta)
-    e0 = 1.0 / x - 0.5 * (mu0 + mu1)
-    e1 = 1.0 / x - (0.5 * (math.sqrt(mu0) + math.sqrt(mu1)) ** 2 - mu0 * mu1 * x)
-    v_prev, v_cur = 0.0, 1.0  # V_{-1}, V_0
-    for _ in range(m - 1):
-        v_prev, v_cur = v_cur, 2 * y * delta * v_cur - delta**2 * v_prev
-    em = -(delta**2) * e0 * v_prev + e1 * v_cur
-    return at_lambda1, lam0 * em
-
-
 def optimal_lambda0_smoothing(m: int, lambda0: float,
                               lambda1: float) -> float:
     """The interval left end minimizing max|e| over [lambda0, lambda1].
 
-    The error at lambda1 decreases and the error at lambda0 increases as
-    the construction interval [lam, lambda1] shrinks, so their crossing is
-    the min-max point; found by bisection.  If the branches never cross
-    the better endpoint is returned.
+    For the ba1x polynomial built on [lam, lambda1], |e(lambda1)| falls
+    and e(lambda0) rises as lam grows, so their crossing is the min-max
+    point; found by bisection on the two endpoint errors, each taken from
+    ``apply_q`` on Python floats.  If the branches never cross the better
+    endpoint is returned.
     """
     if m < 1:
         raise ValueError("optimal lambda0 needs degree m >= 1")
@@ -210,8 +166,12 @@ def optimal_lambda0_smoothing(m: int, lambda0: float,
         raise ValueError("need 0 < lambda0 < lambda1")
 
     def gap(lam: float) -> float:
-        hi, lo = ba1x_endpoint_errors(m, lam, lambda0, lambda1)
-        return hi - lo
+        spec = SmootherSpec(BA1X, m, lam, lambda1)
+
+        def error(x: float) -> float:
+            return 1.0 - x * apply_q(spec, 1.0, lambda v: 1.0 - x * v)
+
+        return abs(error(lambda1)) - error(lambda0)
 
     lo, hi = lambda0, lambda1 * (1.0 - 1e-12)
     if gap(lo) <= 0:

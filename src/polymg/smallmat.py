@@ -1,10 +1,11 @@
-"""Small dense complex linear algebra for two-grid block symbols.
+"""Dense spectral radii of two-grid block symbols.
 
-Matrices are plain complex ndarrays (row-major, as the rest of the
-package produces them); the helpers below add the validation and error
-contracts the analysis relies on.  Eigenvalues come from LAPACK's
-Hessenberg + shifted-QR path via numpy, which handles the non-normal
-blocks the coarse-grid correction produces.
+Blocks are plain complex ndarrays (row-major, as the rest of the package
+produces them).  ``spectral_radii`` is the one dense eigen-solve: it
+validates a (..., n, n) stack and takes every radius from one batched
+LAPACK call (Hessenberg + shifted QR via numpy), which handles the
+non-normal blocks the coarse-grid correction produces.
+``spectral_radius`` is the same call on a single matrix.
 """
 
 from __future__ import annotations
@@ -15,56 +16,27 @@ import numpy as np
 MAX_DENSE_SIZE = 512
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Validate and convert to a 2-D complex matrix with finite entries."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit dimension checking."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def eigenvalues(m) -> np.ndarray:
-    """All eigenvalues of a square matrix (size-capped dense solve)."""
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"eigenvalues need a square matrix, got {a.shape}")
-    if a.shape[0] > MAX_DENSE_SIZE:
-        raise ValueError(
-            f"matrix size {a.shape[0]} exceeds the dense cap {MAX_DENSE_SIZE}")
-    try:
-        return np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as err:  # iteration cap hit, never silent
-        raise RuntimeError(f"eigenvalue iteration failed to converge: {err}")
-
-
 def spectral_radius(m) -> float:
-    """max |eigenvalue| of a square matrix."""
-    return float(np.max(np.abs(eigenvalues(m))))
+    """max |eigenvalue| of one square matrix."""
+    a = np.asarray(m)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+    return float(spectral_radii(a))
 
 
 def spectral_radii(stack: np.ndarray) -> np.ndarray:
     """Spectral radius per matrix of a (..., n, n) stack (batched LAPACK)."""
     a = np.asarray(stack, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a stack of square matrices, got {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(
+            f"expected a stack of non-empty square matrices, got {a.shape}")
     if a.shape[-1] > MAX_DENSE_SIZE:
         raise ValueError(
             f"matrix size {a.shape[-1]} exceeds the dense cap {MAX_DENSE_SIZE}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("stack has non-finite entries")
+        raise ValueError("matrix has non-finite entries")
     try:
         ev = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as err:
+    except np.linalg.LinAlgError as err:  # iteration cap hit, never silent
         raise RuntimeError(f"eigenvalue iteration failed to converge: {err}")
     return np.max(np.abs(ev), axis=-1)

@@ -42,8 +42,13 @@ class GridGeometry:
     def __post_init__(self):
         if self.kind not in (RECTANGULAR, TRIANGULAR):
             raise ValueError(f"unknown geometry kind {self.kind!r}")
-        if any(w <= 0 for w in self.h):
-            raise ValueError("mesh widths must be positive")
+        if not all(math.isfinite(w) and w > 0 for w in self.h):
+            raise ValueError(f"mesh widths must be finite and positive, "
+                             f"got {self.h}")
+        if not all(a is None or math.isfinite(a)
+                   for a in (self.alpha, self.beta)):
+            raise ValueError(f"angles must be finite, got alpha={self.alpha}, "
+                             f"beta={self.beta}")
         if self.kind == TRIANGULAR:
             if len(self.h) != 2:
                 raise ValueError("triangular geometry is two-dimensional")
@@ -72,15 +77,44 @@ class GridGeometry:
 
     @staticmethod
     def from_dict(d: dict) -> "GridGeometry":
-        geometry = GridGeometry(
-            kind=d["kind"],
-            h=tuple(float(w) for w in d["h"]),
-            alpha=d.get("alpha"),
-            beta=d.get("beta"),
-        )
-        if "dimension" in d and int(d["dimension"]) != geometry.dimension:
+        kind = _field(d, "kind", "geometry")
+        h = _field(d, "h", "geometry", _array(float))
+        angles = {a: _field(d, a, "geometry", float)
+                  for a in ("alpha", "beta") if d.get(a) is not None}
+        geometry = GridGeometry(kind=kind, h=h, **angles)
+        if "dimension" in d and \
+                _field(d, "dimension", "geometry", int) != geometry.dimension:
             raise ValueError("dimension field disagrees with mesh widths")
         return geometry
+
+
+def _field(d, key: str, where: str, convert=None):
+    """``convert(d[key])`` of a JSON object, or a ValueError naming the field."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {d!r}")
+    if key not in d:
+        raise ValueError(f"{where} has no {key!r} field")
+    try:
+        return d[key] if convert is None else convert(d[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where}.{key} is mistyped: {d[key]!r}") from None
+
+
+def _integer(value) -> int:
+    """``int(value)`` of an integral value; a fractional one is mistyped."""
+    n = int(value)
+    if n != float(value):
+        raise ValueError(f"{value!r} is not an integer")
+    return n
+
+
+def _array(convert):
+    """Converter of a JSON array to a tuple of its converted elements."""
+    def array(values) -> tuple:
+        if not isinstance(values, list):
+            raise TypeError("not an array")
+        return tuple(map(convert, values))
+    return array
 
 
 def rectangular(h: float | Sequence[float], dimension: int | None = None) -> GridGeometry:
@@ -110,6 +144,8 @@ class Stencil:
     def __post_init__(self):
         if len(self.offsets) != len(self.coefficients):
             raise ValueError("offsets and coefficients must pair up")
+        if not all(math.isfinite(c) for c in self.coefficients):
+            raise ValueError("stencil coefficients must be finite")
         if len(set(self.offsets)) != len(self.offsets):
             raise ValueError("duplicate stencil offsets")
         zero = tuple([0] * self.geometry.dimension)
@@ -166,10 +202,15 @@ class Stencil:
 
     @staticmethod
     def from_dict(d: dict) -> "Stencil":
-        geometry = GridGeometry.from_dict(d["geometry"])
-        offsets = tuple(tuple(int(x) for x in e["offset"]) for e in d["entries"])
-        coefficients = tuple(float(e["coefficient"]) for e in d["entries"])
-        return Stencil(geometry=geometry, offsets=offsets, coefficients=coefficients)
+        geometry = GridGeometry.from_dict(_field(d, "geometry", "stencil"))
+        entries = _field(d, "entries", "stencil", _array(lambda e: e))
+        where = [f"stencil.entries[{i}]" for i in range(len(entries))]
+        offsets = tuple(_field(e, "offset", w, _array(_integer))
+                        for e, w in zip(entries, where))
+        coefficients = tuple(_field(e, "coefficient", w, float)
+                             for e, w in zip(entries, where))
+        return Stencil(geometry=geometry, offsets=offsets,
+                       coefficients=coefficients)
 
     def save(self, path: str) -> None:
         with open(path, "w") as f:

@@ -23,6 +23,8 @@ PRECONDITIONERS = (JACOBI, L1_JACOBI)
 
 #: symmetric stencils must produce symbols with imaginary part below this
 REAL_SYMBOL_TOL = 1e-12
+#: shift, in lattice steps, of the sampled lattice off theta = 0
+OFFSET_FRACTION = 0.5
 
 
 def read_only(array: np.ndarray) -> np.ndarray:
@@ -85,19 +87,14 @@ class FrequencySampling:
     """Uniform lattice resolution for LFA sweeps.
 
     ``samples_per_axis`` must be a multiple of 2^k for every coarsening
-    ratio used so the low/high cutoff lands on sample boundaries;
-    ``offset_fraction`` shifts the low-frequency lattice off the singular
-    zero frequency.
+    ratio used so the low/high cutoff lands on sample boundaries.
     """
 
     samples_per_axis: int = 64
-    offset_fraction: float = 0.5
 
     def __post_init__(self):
         if self.samples_per_axis < 2:
             raise ValueError("need at least two samples per axis")
-        if not 0.0 < self.offset_fraction < 1.0:
-            raise ValueError("offset_fraction must lie in (0, 1)")
 
     def validate_ratio(self, k: int) -> None:
         if k < 1:
@@ -175,12 +172,11 @@ def sample_frequencies(geometry: GridGeometry, k: int,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Offset uniform lattice over Theta_h, split into (low, high).
 
-    The lattice is shifted by offset_fraction of a step so theta = 0 is
+    The lattice is shifted by OFFSET_FRACTION of a step so theta = 0 is
     never sampled; exactly (N/2^k)^d samples land in the low box.
     """
     sampling.validate_ratio(k)
-    theta = _lattice(geometry, sampling.samples_per_axis,
-                     sampling.offset_fraction)
+    theta = _lattice(geometry, sampling.samples_per_axis, OFFSET_FRACTION)
     low = low_frequency_mask(geometry, k, theta)
     return theta[low], theta[~low]
 

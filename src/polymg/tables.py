@@ -204,6 +204,23 @@ def _discrepancy_key(table: int, label, col: str):
     return (table, label, col)
 
 
+def _result(index: int, rows: list, extras: dict | None = None,
+            notes: tuple[str, ...] = ()) -> TableResult:
+    """Table ``index``'s computed rows beside its PAPER fixture, in the
+    fixture's row order; notes are its documented discrepancies, then
+    ``notes``."""
+    fixture = PAPER[index]
+    return TableResult(
+        index=index, title=fixture["title"], columns=fixture["columns"],
+        row_labels=[r if isinstance(r, str) else f"k={r}"
+                    for r in fixture["rows"]],
+        computed=rows, reference=list(fixture["rows"].values()),
+        tolerances=fixture["tolerances"],
+        notes=[why for (t, _, _), (_, why) in DOCUMENTED_DISCREPANCIES.items()
+               if t == index] + list(notes),
+        extras={} if extras is None else extras)
+
+
 def _fd_stencil(dimension: int) -> Stencil:
     return build_fd_laplace(rectangular(1.0, dimension))
 
@@ -220,7 +237,7 @@ def smoothing_table(dimension: int,
     index = 1 if dimension == 2 else 2
     stencil = _fd_stencil(dimension)
     lam1 = LAMBDA1_2D if dimension == 2 else LAMBDA1_3D
-    rows, labels = [], []
+    rows = []
     for k in (1, 2, 3):
         deg = SMOOTHING_DEGREES[dimension][k]
         lam0, _ = lambda_bounds(stencil, JACOBI, k, sampling)
@@ -234,15 +251,7 @@ def smoothing_table(dimension: int,
                      smoothing_factor(stencil, ba, k, sampling=sampling),
                      smoothing_factor(stencil, ba_opt, k, sampling=sampling),
                      lam0, lam_star])
-        labels.append(f"k={k}")
-    fixture = PAPER[index]
-    notes = [why for (t, _, _), (_, why) in DOCUMENTED_DISCREPANCIES.items()
-             if t == index]
-    return TableResult(index=index, title=fixture["title"],
-                       columns=fixture["columns"], row_labels=labels,
-                       computed=rows,
-                       reference=[fixture["rows"][k] for k in (1, 2, 3)],
-                       tolerances=fixture["tolerances"], notes=notes)
+    return _result(index, rows)
 
 
 def _two_grid_rhos(stencil, spec, k, sampling) -> dict[str, float]:
@@ -269,8 +278,7 @@ def two_grid_table(sampling: FrequencySampling | None = None,
     """Table 3: two-grid LFA factors and measured two-grid rates (2D)."""
     sampling = sampling or FrequencySampling()
     stencil = _fd_stencil(2)
-    rows, labels = [], []
-    extras = {"modes": {}}
+    rows, extras = [], {"modes": {}}
     for k in (1, 2, 3):
         deg = SMOOTHING_DEGREES[2][k]
         lam0, _ = lambda_bounds(stencil, JACOBI, k, sampling)
@@ -299,13 +307,7 @@ def two_grid_table(sampling: FrequencySampling | None = None,
             else:
                 row.append(None)
         rows.append(row)
-        labels.append(f"k={k}")
-    fixture = PAPER[3]
-    return TableResult(index=3, title=fixture["title"],
-                       columns=fixture["columns"], row_labels=labels,
-                       computed=rows,
-                       reference=[fixture["rows"][k] for k in (1, 2, 3)],
-                       tolerances=fixture["tolerances"], extras=extras)
+    return _result(3, rows, extras)
 
 
 def optimal_table(sampling: FrequencySampling | None = None,
@@ -314,7 +316,7 @@ def optimal_table(sampling: FrequencySampling | None = None,
     """Table 4: lambda0 tuned for the overall two-grid factor."""
     sampling = sampling or FrequencySampling()
     stencil = _fd_stencil(2)
-    rows, labels, extras = [], [], {}
+    rows, extras = [], {}
     for k in (1, 2, 3):
         deg = SMOOTHING_DEGREES[2][k]
         row = []
@@ -334,23 +336,18 @@ def optimal_table(sampling: FrequencySampling | None = None,
             else:
                 row.append(None)
         rows.append(row)
-        labels.append(f"k={k}")
-    fixture = PAPER[4]
-    return TableResult(index=4, title=fixture["title"],
-                       columns=fixture["columns"], row_labels=labels,
-                       computed=rows,
-                       reference=[fixture["rows"][k] for k in (1, 2, 3)],
-                       tolerances=fixture["tolerances"], extras=extras)
+    return _result(4, rows, extras)
 
 
 def v_cycle_table(sampling: FrequencySampling | None = None,
-                  experiments: bool = True,
-                  iterations2d: int = 100, iterations3d: int = 60
+                  experiments: bool = True, iterations: int = 100
                   ) -> TableResult:
-    """Table 5 (both parts): measured V(1,1) rates in 2D and 3D."""
+    """Table 5 (both parts): measured V(1,1) rates in 2D and 3D.
+
+    2D rates take ``iterations`` cycles, 3D ones min(iterations, 60)."""
     sampling = sampling or FrequencySampling()
-    rows, labels, extras = [], [], {}
-    for dimension, iters in ((2, iterations2d), (3, iterations3d)):
+    rows, extras = [], {}
+    for dimension, iters in ((2, iterations), (3, min(iterations, 60))):
         stencil = _fd_stencil(dimension)
         for k in (1, 2, 3):
             deg = SMOOTHING_DEGREES[dimension][k]
@@ -369,13 +366,7 @@ def v_cycle_table(sampling: FrequencySampling | None = None,
                     extras, f"{dimension}d/k={k}/{spec.family}/{spec.lambda0:.4g}",
                     cyc, dimension, iters))
             rows.append(row)
-            labels.append(f"{dimension}d/k={k}")
-    fixture = PAPER[5]
-    return TableResult(index=5, title=fixture["title"],
-                       columns=fixture["columns"], row_labels=labels,
-                       computed=rows,
-                       reference=[fixture["rows"][lb] for lb in labels],
-                       tolerances=fixture["tolerances"], extras=extras)
+    return _result(5, rows, extras)
 
 
 def triangular_table(preset: str,
@@ -385,8 +376,7 @@ def triangular_table(preset: str,
     index = 6 if preset == "equilateral" else 7
     stencil = _tri_stencil(preset)
     lam1 = LAMBDA1_EQUILATERAL if preset == "equilateral" else LAMBDA1_ISOSCELES
-    rows, labels = [], []
-    extras = {"modes": {}, "computed_lambda1": {}}
+    rows, extras = [], {"modes": {}, "computed_lambda1": {}}
     for k in (1, 2, 3):
         deg = TRI_DEGREES[preset][k]
         lam0, lam1_c = lambda_bounds(stencil, JACOBI, k, sampling)
@@ -401,22 +391,12 @@ def triangular_table(preset: str,
             extras["modes"][f"k={k}/{col}"] = rhos
             row.append(rhos[GALERKIN])
         rows.append(row)
-        labels.append(f"k={k}")
         extras["computed_lambda1"][f"k={k}"] = lam1_c
-    fixture = PAPER[index]
-    notes = [why for (t, _, _), (_, why) in DOCUMENTED_DISCREPANCIES.items()
-             if t == index]
-    if index == 7:
-        notes.append(
-            "the reference uses lambda1 = 17/9 as a spectral bound; the "
-            f"computed supremum is {LAMBDA1_ISOSCELES_COMPUTED:.7f} and the "
-            "table cells here are built with the reference bound")
-    return TableResult(index=index, title=fixture["title"],
-                       columns=fixture["columns"], row_labels=labels,
-                       computed=rows,
-                       reference=[fixture["rows"][k] for k in (1, 2, 3)],
-                       tolerances=fixture["tolerances"], notes=notes,
-                       extras=extras)
+    notes = () if index == 6 else (
+        "the reference uses lambda1 = 17/9 as a spectral bound; the "
+        f"computed supremum is {LAMBDA1_ISOSCELES_COMPUTED:.7f} and the "
+        "table cells here are built with the reference bound",)
+    return _result(index, rows, extras, notes)
 
 
 def reproduce_table(index: int, sampling: FrequencySampling | None = None,
@@ -435,8 +415,7 @@ def reproduce_table(index: int, sampling: FrequencySampling | None = None,
                              iterations=iterations)
     if index == 5:
         return v_cycle_table(sampling, experiments=experiments,
-                             iterations2d=iterations,
-                             iterations3d=min(iterations, 60))
+                             iterations=iterations)
     if index == 6:
         return triangular_table("equilateral", sampling)
     if index == 7:

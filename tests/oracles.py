@@ -8,6 +8,8 @@ share none of their machinery.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -164,6 +166,68 @@ def closed_form_error(spec, x) -> np.ndarray:
             + delta ** (m - 1) * e1 * cheb_U(m - 1, y))
 
 
+def ba1x_endpoint_errors(m: int, lam: float, lam0: float, lam1: float
+                         ) -> tuple[float, float]:
+    """Closed-form endpoint errors of the ba1x p_m built on [lam, lam1].
+
+    Returns (|1 - lam1 p_m(lam1; lam)|, lam0 * E_m(lam0; lam)) where
+    E_m(x) = 1/x - p_m(x) has the explicit second-kind-Chebyshev form
+    E_m = -delta^m E_0 U_{m-2}(y) + delta^{m-1} E_1 U_{m-1}(y) with
+    y = (1 + delta^2 - c x)/(2 delta).  The U terms are evaluated through
+    the scaled recurrence V_j = delta^j U_j(y), which stays bounded for
+    x in [0, lambda1].
+    """
+    if m < 1:
+        raise ValueError("endpoint errors need m >= 1")
+    if not lam0 <= lam <= lam1:
+        raise ValueError("need lambda0 <= lambda <= lambda1")
+    if lam == lam1:
+        raise ValueError("lambda = lambda1 is degenerate (kappa = 1)")
+    mu0, mu1 = 1.0 / lam1, 1.0 / lam
+    kappa = lam1 / lam
+    delta = (math.sqrt(kappa) - 1) / (math.sqrt(kappa) + 1)
+    c = 4 * mu0 * mu1 / (math.sqrt(mu0) + math.sqrt(mu1)) ** 2
+    at_lambda1 = delta**m * (kappa - 1) / 2.0
+
+    x = lam0
+    y = (1.0 + delta**2 - c * x) / (2.0 * delta)
+    e0 = 1.0 / x - 0.5 * (mu0 + mu1)
+    e1 = 1.0 / x - (0.5 * (math.sqrt(mu0) + math.sqrt(mu1)) ** 2 - mu0 * mu1 * x)
+    v_prev, v_cur = 0.0, 1.0  # V_{-1}, V_0
+    for _ in range(m - 1):
+        v_prev, v_cur = v_cur, 2 * y * delta * v_cur - delta**2 * v_prev
+    em = -(delta**2) * e0 * v_prev + e1 * v_cur
+    return at_lambda1, lam0 * em
+
+
+def closed_form_optimal_lambda0(m: int, lambda0: float,
+                                lambda1: float) -> float:
+    """The min-max lambda0 by bisection on the closed-form endpoint errors.
+
+    The same bracket, tolerance and midpoint rule as
+    ``polynomials.optimal_lambda0_smoothing``, with ``ba1x_endpoint_errors``
+    in place of the recurrence.
+    """
+    from polymg.polynomials import LAMBDA0_REL_TOL
+
+    def gap(lam: float) -> float:
+        hi, lo = ba1x_endpoint_errors(m, lam, lambda0, lambda1)
+        return hi - lo
+
+    lo, hi = lambda0, lambda1 * (1.0 - 1e-12)
+    if gap(lo) <= 0:
+        return lambda0
+    if gap(hi) > 0:
+        return hi
+    while hi - lo > LAMBDA0_REL_TOL * lambda1:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 #: every smoother degree the reference tables use
 TABLE_DEGREES = (1, 2, 3, 5, 6, 8, 9, 14, 17, 18, 22, 43)
 
@@ -231,20 +295,6 @@ def eigenvalues_by_roots(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # naive summations / assemblies
 # ---------------------------------------------------------------------------
-
-def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m), dtype=complex)
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0 + 0.0j
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
 
 def naive_symbol(offsets, coefficients, h, theta) -> complex:
     """Term-by-term complex sum for one frequency (scalar loop)."""

@@ -15,18 +15,17 @@ import pytest
 
 from polymg import (BA1X, CHEBYSHEV, GALERKIN, JACOBI, REDISCRETIZED, SA,
                     FrequencySampling, SmootherSpec, TwoGridConfig,
-                    ba1x_endpoint_errors, build_fd_laplace,
-                    build_fem_tri_laplace, error_poly, evaluate_symbol,
-                    harmonic_frequencies,
-                    make_grid_level, q_value, rectangular,
-                    sample_frequencies)
+                    build_fd_laplace, build_fem_tri_laplace, error_poly,
+                    evaluate_symbol, harmonic_frequencies, make_grid_level,
+                    q_value, rectangular, sample_frequencies)
 from polymg.lfa import BlockEvaluator, coarse_correction_matrix
 from polymg.polynomials import min_degree
 from polymg.tables import (DOCUMENTED_DISCREPANCIES,
                            LAMBDA1_ISOSCELES_COMPUTED, reproduce_table)
 
 from conftest import record_acceptance
-from oracles import closed_form_error, remez_reciprocal
+from oracles import (ba1x_endpoint_errors, closed_form_error,
+                     remez_reciprocal)
 
 TOL = {"factor": 2e-3, "lambda0": 1e-3, "lambda0_star": 2e-3, "rho": 1e-2,
        "rate": 1.5e-2}

@@ -1,7 +1,12 @@
+import copy
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymg import Stencil, build_fem_tri_laplace, cli, reproduce_table
 from polymg.cli import main
@@ -331,3 +336,116 @@ def test_missing_stencil_flag(capsys):
                            "--degree", "2")
     assert code == 2
     assert "stencil" in json.loads(err)["message"]
+
+
+def _with(doc, mutate):
+    doc = copy.deepcopy(doc)
+    mutate(doc)
+    return doc
+
+
+@pytest.mark.parametrize("document,message", [
+    ({}, "geometry"),
+    (_with(Q1_STENCIL, lambda d: d.pop("entries")), "entries"),
+    ([], "JSON object"),
+    (_with(Q1_STENCIL, lambda d: d["entries"][1].update(coefficient=None)),
+     "entries[1].coefficient"),
+    (_with(Q1_STENCIL, lambda d: d["entries"][1].update(coefficient="inf")),
+     "finite"),
+    (_with(Q1_STENCIL, lambda d: d["geometry"].update(h=[float("nan"), 1.0])),
+     "finite"),
+    (_with(Q1_STENCIL, lambda d: d["entries"][2].update(offset=[1.5, 0])),
+     "entries[2].offset"),
+], ids=["empty-object", "no-entries", "array", "null-coefficient",
+        "inf-coefficient", "nan-h", "fractional-offset"])
+def test_malformed_stencil_file_is_a_json_error(tmp_path, capsys, document,
+                                                message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(
+        capsys, "smoothing-factor", "--stencil-file", str(path),
+        "--family", "cheb", "--degree", "2")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert message in error["message"]
+
+
+def test_non_finite_mesh_width_flag(capsys):
+    code, out, err = run_cli(
+        capsys, "smoothing-factor", "--stencil", "fd2d", "--h", "nan",
+        "--family", "cheb", "--degree", "2")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "finite" in json.loads(err)["message"]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12)
+
+VALID_DOCUMENTS = (Q1_STENCIL,
+                   build_fem_tri_laplace(4 * math.pi / 9,
+                                         4 * math.pi / 9).to_dict())
+
+
+def _slots(node):
+    """Every (container, key) pair of a JSON document."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in list(items):
+        yield node, key
+        yield from _slots(child)
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(JSON_VALUES)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "stencil.json"
+
+
+def _check_stencil_file(path, document):
+    path.write_text(json.dumps(document))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["smoothing-factor", "--stencil-file", str(path),
+                     "--family", "cheb", "--degree", "2", "--samples", "8"])
+    assert code in (0, 2)
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+        assert "error" in json.loads(err.getvalue())
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_VALUES)
+def test_fuzz_arbitrary_json_stencil_file(fuzz_path, document):
+    _check_stencil_file(fuzz_path, document)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_documents())
+def test_fuzz_mutated_stencil_file(fuzz_path, document):
+    _check_stencil_file(fuzz_path, document)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polymg import (BA1X, CHEBYSHEV, SA, SmootherSpec, ba1x_endpoint_errors,
-                    error_poly, min_degree, optimal_lambda0_smoothing,
-                    q_value)
+from polymg import (BA1X, CHEBYSHEV, SA, SmootherSpec, error_poly,
+                    min_degree, optimal_lambda0_smoothing, q_value)
 from polymg.polynomials import apply_q, is_admissible
 
-from oracles import (TABLE_DEGREES, cheb_T, cheb_U, closed_form_error,
+from oracles import (TABLE_DEGREES, ba1x_endpoint_errors, cheb_T, cheb_U,
+                     closed_form_error, closed_form_optimal_lambda0,
                      expression_apply_q, remez_reciprocal)
 
 
@@ -223,6 +223,27 @@ def test_optimal_lambda0_balances_endpoints():
     lam = optimal_lambda0_smoothing(6, 0.146, 2.0)
     at1, at0 = ba1x_endpoint_errors(6, lam, 0.146, 2.0)
     assert at1 == pytest.approx(at0, rel=1e-6)
+
+
+#: (degree, lambda0, lambda1) of the lambda0* cells of tables 1, 2, 6, 7:
+#: fd2d, fd3d, equilateral and isosceles-80, each at k = 1..3
+TABLE_LAMBDA0_CELLS = [
+    (2, 0.5, 2.0), (6, 0.14644660940672624, 2.0),
+    (17, 0.03806023374435652, 2.0),
+    (3, 0.3333333333333333, 2.0), (9, 0.09763107293781736, 2.0),
+    (22, 0.025373489162904345, 2.0),
+    (1, 0.5285954792089681, 1.5), (5, 0.14837805126362624, 1.5),
+    (14, 0.03818330222741723, 1.5),
+    (8, 0.11193126889065153, 17 / 9), (18, 0.03244538971946075, 17 / 9),
+    (43, 0.008406758311056254, 17 / 9),
+]
+
+
+@pytest.mark.parametrize("m,lam0,lam1", TABLE_LAMBDA0_CELLS)
+def test_optimal_lambda0_equals_closed_form_bisection(m, lam0, lam1):
+    # the recurrence and the closed form take every bisection step alike
+    assert optimal_lambda0_smoothing(m, lam0, lam1) \
+        == closed_form_optimal_lambda0(m, lam0, lam1)
 
 
 def test_min_degree_exact_inversion():
