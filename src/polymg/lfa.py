@@ -1,9 +1,11 @@
 """Two-grid local Fourier analysis under aggressive 2^k coarsening.
 
-Each low frequency couples with its 2^{kd}-1 aliases; the two-grid error
-propagator acts block-diagonally on these harmonic groups, so its
-asymptotic convergence factor is the maximum block spectral radius over
-the sampled low frequencies.
+Frequencies are phases in (-pi, pi]^d (see ``symbols``), so nothing here
+reads the mesh width.  Each low phase in (-pi/2^k, pi/2^k]^d couples with
+its 2^{kd}-1 aliases; the two-grid error propagator acts block-diagonally
+on these harmonic groups, so its asymptotic convergence factor is the
+maximum block spectral radius over the sampled low phases.  The coarse
+grid sees the phase 2^k theta.
 
 Transfer symbols: the prolongation is the inclusion of the 2^k-coarse
 nested piecewise-(multi)linear space, the box spline that
@@ -28,9 +30,8 @@ gamma <= 1, E = I - (1 - sqrt(1 - gamma)) u u^T satisfies E^2 = I - gamma
 u u^T, and eig(E.ED) = eig(ED.E), so the spectrum is that of the real
 symmetric E D E, which ``eigvalsh`` computes.  The rediscretized gamma of
 nested FEM is 1 up to rounding, so gamma <= 1 + GAMMA_ROUNDING is clipped
-to 1.  Every other block (gamma above that, a negative a_i, a
-non-symmetric stencil) is assembled densely and its radius taken by
-``smallmat.spectral_radii``.
+to 1.  Every other block (gamma above that, a negative a_i) is assembled
+densely and its radius taken by ``smallmat.spectral_radii``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ GALERKIN = "galerkin"
 REDISCRETIZED = "rediscretized"
 COARSE_MODES = (GALERKIN, REDISCRETIZED)
 
-#: a coarse symbol below this magnitude marks a misconfigured block
+#: a coarse symbol below this multiple of the preconditioner scalar marks a
+#: misconfigured block (relative: the symbols scale with the coefficients)
 SINGULAR_COARSE_TOL = 1e-14
 #: rediscretized nested-FEM blocks have gamma = 1 up to a few ulps
 GAMMA_ROUNDING = 1e-12
@@ -83,6 +85,9 @@ class TwoGridConfig:
             raise ValueError("need nu1, nu2 >= 0 with nu1 + nu2 >= 1")
         if self.coarse_mode not in COARSE_MODES:
             raise ValueError(f"unknown coarse mode {self.coarse_mode!r}")
+        if not self.stencil.is_symmetric():
+            raise ValueError("the two-grid analysis requires a symmetric "
+                             "stencil")
         self.sampling.validate_ratio(self.k)
 
 
@@ -121,39 +126,35 @@ def smoothing_factor(stencil: Stencil, spec: SmootherSpec, k: int,
 
 
 @lru_cache(maxsize=16)
-def _alias_shifts(geometry: GridGeometry, k: int) -> np.ndarray:
-    """The 2^{kd} offsets 2 pi j / (2^k h), j in {0..2^k-1}^d (read-only)."""
+def _alias_shifts(d: int, k: int) -> np.ndarray:
+    """The 2^{kd} phase shifts 2 pi j / 2^k, j in {0..2^k-1}^d (read-only)."""
     m = 2**k
-    d = geometry.dimension
     shifts = np.stack(np.meshgrid(*([np.arange(m)] * d), indexing="ij"),
                       axis=-1).reshape(-1, d)
-    return read_only(2 * np.pi * shifts / (m * np.asarray(geometry.h)))
+    return read_only(2 * np.pi * shifts / m)
 
 
-def harmonic_frequencies(geometry: GridGeometry, k: int,
-                         theta0: np.ndarray) -> np.ndarray:
-    """The 2^{kd} aliases of low frequencies, wrapped into (-pi/h, pi/h].
+def harmonic_frequencies(k: int, theta0: np.ndarray) -> np.ndarray:
+    """The 2^{kd} aliases of low phases, wrapped into (-pi, pi].
 
     ``theta0`` has shape (..., d); the result has shape (..., 2^{kd}, d).
     """
-    h = np.asarray(geometry.h)
-    theta = (np.asarray(theta0, dtype=float)[..., None, :]
-             + _alias_shifts(geometry, k))
-    span = 2 * np.pi / h
-    top = np.pi / h
-    return top - np.mod(top - theta, span)
+    theta0 = np.asarray(theta0, dtype=float)
+    theta = theta0[..., None, :] + _alias_shifts(theta0.shape[-1], k)
+    return np.pi - np.mod(np.pi - theta, 2 * np.pi)
 
 
 def prolongation_symbol(theta: np.ndarray, k: int,
                         geometry: GridGeometry) -> np.ndarray:
-    """Stencil symbol of the nested inclusion (value 2^{kd} at 0).
+    """Stencil symbol of the nested inclusion at phases theta (2^{kd} at 0).
 
-    prod D_m(theta . xi h)^p / m^(sum p - d) over the distinct box
-    directions xi of ``stencils.transfer_factors``, of multiplicity p, with
-    m = 2^k and the Dirichlet kernel D_m(t) = sin(m t/2)/sin(t/2).
+    prod D_m(theta . xi)^p / m^(sum p - d) over the distinct box directions
+    xi of ``stencils.transfer_factors``, of multiplicity p, with m = 2^k and
+    the Dirichlet kernel D_m(t) = sin(m t/2)/sin(t/2).  ``geometry`` only
+    selects the directions.
     """
     m = 2**k
-    half = np.asarray(theta, dtype=float) * np.asarray(geometry.h) / 2.0
+    half = np.asarray(theta, dtype=float) / 2.0
     symbol, power = 1.0, -geometry.dimension
     for p, directions in _box_directions(geometry):
         t = half @ directions
@@ -179,10 +180,10 @@ def _box_directions(geometry: GridGeometry
 class BlockEvaluator:
     """The two-grid blocks of one configuration, for batches of base frequencies.
 
-    Holds what does not depend on the base frequency (the stencil terms at
-    both mesh widths and the preconditioner scalar; the alias shifts and the
-    transfer directions are cached per geometry), so one evaluator serves a
-    lattice sweep and every polish step after it.
+    Holds what does not depend on the base phase (the stencil terms at both
+    mesh widths and the preconditioner scalar; the alias shifts are cached
+    per dimension and the transfer directions per geometry), so one
+    evaluator serves a lattice sweep and every polish step after it.
     """
 
     def __init__(self, cfg: TwoGridConfig):
@@ -193,23 +194,22 @@ class BlockEvaluator:
         self.coarse = (None if cfg.coarse_mode == GALERKIN else
                        symbol_terms(st.with_mesh_width(float(2**cfg.k))))
         self.diagonal = preconditioner_symbol(st, cfg.preconditioner)
-        self.symmetric = st.is_symmetric()
 
     def block(self, theta0: np.ndarray) -> HarmonicBlock:
-        """Per-harmonic symbols at base frequencies of shape (..., d)."""
+        """Per-harmonic symbols at base phases of shape (..., d)."""
         cfg = self.cfg
-        geometry = cfg.stencil.geometry
         theta0 = np.asarray(theta0, dtype=float)
-        theta = harmonic_frequencies(geometry, cfg.k, theta0)
+        theta = harmonic_frequencies(cfg.k, theta0)
         fine = fourier_sum(theta, *self.fine)
-        prol = prolongation_symbol(theta, cfg.k, geometry)
+        prol = prolongation_symbol(theta, cfg.k, cfg.stencil.geometry)
         # Galerkin: conj(p) A p over the harmonics; else the coarse stencil
+        # at the coarse phase 2^k theta0 (exact: a power-of-two scaling)
         if self.coarse is None:
             p = prol / self.m_d
             coarse = np.sum(np.conj(p) * fine * p, axis=-1)
         else:
-            coarse = fourier_sum(theta0, *self.coarse)
-        if np.min(np.abs(coarse)) < SINGULAR_COARSE_TOL:
+            coarse = fourier_sum(2**cfg.k * theta0, *self.coarse)
+        if np.min(np.abs(coarse)) < SINGULAR_COARSE_TOL * self.diagonal:
             raise ValueError(
                 "singular coarse symbol at a base frequency; the sampling "
                 "offset should exclude the zero frequency")
@@ -243,22 +243,19 @@ class BlockEvaluator:
         """
         cfg = self.cfg
         out = np.empty(np.shape(block.coarse_symbol))
-        fast = np.zeros(out.shape, dtype=bool)
-        if self.symmetric:
-            a = block.fine_symbols.real
-            p = block.prolongation / self.m_d
-            norm2 = np.sum(p * p * a, axis=-1)
-            gamma = (np.ones_like(norm2) if cfg.coarse_mode == GALERKIN
-                     else norm2 / block.coarse_symbol.real)
-            # non-finite smoother symbols go to the dense path, which
-            # rejects them
-            fast = ((norm2 > 0) & np.all(a >= 0, axis=-1)
-                    & (gamma <= 1.0 + GAMMA_ROUNDING)
-                    & np.all(np.isfinite(block.smoother_symbols), axis=-1))
-            u = p[fast] * np.sqrt(a[fast]) / np.sqrt(norm2[fast])[:, None]
-            c = 1.0 - np.sqrt(1.0 - np.minimum(gamma[fast], 1.0))
-            d = block.smoother_symbols[fast] ** (cfg.nu1 + cfg.nu2)
-            out[fast] = _symmetric_radii(d, u, c)
+        a = block.fine_symbols.real
+        p = block.prolongation / self.m_d
+        norm2 = np.sum(p * p * a, axis=-1)
+        gamma = (np.ones_like(norm2) if cfg.coarse_mode == GALERKIN
+                 else norm2 / block.coarse_symbol.real)
+        # non-finite smoother symbols go to the dense path, which rejects them
+        fast = ((norm2 > 0) & np.all(a >= 0, axis=-1)
+                & (gamma <= 1.0 + GAMMA_ROUNDING)
+                & np.all(np.isfinite(block.smoother_symbols), axis=-1))
+        u = p[fast] * np.sqrt(a[fast]) / np.sqrt(norm2[fast])[:, None]
+        c = 1.0 - np.sqrt(1.0 - np.minimum(gamma[fast], 1.0))
+        d = block.smoother_symbols[fast] ** (cfg.nu1 + cfg.nu2)
+        out[fast] = _symmetric_radii(d, u, c)
         if not np.all(fast):
             slow = ~fast
             rest = HarmonicBlock(**{name: value[slow]
@@ -307,8 +304,7 @@ def _polish_rho(blocks: BlockEvaluator, theta0: np.ndarray,
     """Local refinement of the block spectral radius over the low box."""
     from scipy.optimize import minimize
 
-    h = np.asarray(blocks.cfg.stencil.geometry.h)
-    b = np.pi / (2**blocks.cfg.k * h)
+    b = np.pi / 2**blocks.cfg.k
 
     def neg(t):
         t = np.clip(t, -b * (1 - 1e-9), b * (1 - 1e-9))

@@ -20,7 +20,8 @@ import numpy as np
 
 RECTANGULAR = "rectangular"
 TRIANGULAR = "triangular"
-#: largest coefficient mismatch at -o and o of a symmetric stencil
+#: largest coefficient mismatch at -o and o of a symmetric stencil, relative
+#: to the largest coefficient magnitude
 SYMMETRY_TOL = 1e-14
 
 
@@ -146,6 +147,9 @@ class Stencil:
             raise ValueError("offsets and coefficients must pair up")
         if not all(math.isfinite(c) for c in self.coefficients):
             raise ValueError("stencil coefficients must be finite")
+        if not math.isfinite(sum(map(abs, self.coefficients))):
+            raise ValueError("stencil coefficient magnitudes overflow: "
+                             "their sum is infinite")
         if len(set(self.offsets)) != len(self.offsets):
             raise ValueError("duplicate stencil offsets")
         zero = tuple([0] * self.geometry.dimension)
@@ -173,9 +177,10 @@ class Stencil:
     def is_symmetric(self) -> bool:
         """coefficient at -o equals coefficient at o for every offset."""
         table = dict(zip(self.offsets, self.coefficients))
+        tol = SYMMETRY_TOL * max(map(abs, self.coefficients))
         for o, c in table.items():
             neg = tuple(-x for x in o)
-            if neg not in table or abs(table[neg] - c) > SYMMETRY_TOL:
+            if neg not in table or abs(table[neg] - c) > tol:
                 return False
         return True
 

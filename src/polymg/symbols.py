@@ -1,10 +1,10 @@
 """Fourier symbols, frequency sampling, and the LFA eigenvalue bounds.
 
-Frequencies live in Theta_h = (-pi/h_1, pi/h_1] x ... per axis; for
-triangular geometry the components are reciprocal-basis coordinates with
-the common scalar width, so every formula below treats both geometries
-identically.  Coarsening by 2^k declares the centered box of half-width
-pi/(2^k h_d) "low"; everything else is "high".
+Frequencies are phases theta = omega h in (-pi, pi]^d, so the mesh width
+enters only through the stencil's coefficients; for triangular geometry
+the components are reciprocal-basis phases, so every formula below treats
+both geometries identically.  Coarsening by 2^k declares the centered box
+of half-width pi/2^k "low"; everything else is "high".
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ L1_JACOBI = "l1_jacobi"
 PRECONDITIONERS = (JACOBI, L1_JACOBI)
 
 #: symmetric stencils must produce symbols with imaginary part below this
+#: multiple of the coefficient magnitudes' sum, which bounds the symbol
 REAL_SYMBOL_TOL = 1e-12
 #: shift, in lattice steps, of the sampled lattice off theta = 0
 OFFSET_FRACTION = 0.5
@@ -34,9 +35,11 @@ def read_only(array: np.ndarray) -> np.ndarray:
 
 
 def symbol_terms(stencil: Stencil) -> tuple[np.ndarray, np.ndarray]:
-    """The frequency-free part of the symbol: (h*offsets, complex coefficients)."""
-    return (stencil.offset_array * np.asarray(stencil.geometry.h),
-            stencil.coefficient_array.astype(complex))
+    """The frequency-free part of the symbol: (offsets, complex coefficients).
+
+    The offsets are the stencil's integer lattice offsets, paired with phases.
+    """
+    return stencil.offset_array, stencil.coefficient_array.astype(complex)
 
 
 def fourier_sum(theta: np.ndarray, offsets: np.ndarray,
@@ -46,7 +49,7 @@ def fourier_sum(theta: np.ndarray, offsets: np.ndarray,
 
 
 def evaluate_symbol(stencil: Stencil, theta: np.ndarray) -> np.ndarray:
-    """Symbol sum_j c_j exp(i theta . (h*offset_j)) at frequencies theta.
+    """Symbol sum_j c_j exp(i theta . offset_j) at phases theta.
 
     ``theta`` has shape (..., d); the result drops the last axis.
     """
@@ -74,7 +77,7 @@ def preconditioned_symbol(stencil: Stencil, kind: str,
     """Symbol of [A_h^+]^{-1} A_h; real for symmetric stencils."""
     s = evaluate_symbol(stencil, theta)
     worst = float(np.max(np.abs(s.imag))) if s.size else 0.0
-    if worst > REAL_SYMBOL_TOL * max(1.0, float(np.max(np.abs(s)))):
+    if worst > REAL_SYMBOL_TOL * float(np.sum(np.abs(stencil.coefficients))):
         raise ValueError(
             f"symbol has imaginary part {worst:.2e}; preconditioned analysis "
             "requires a symmetric stencil"
@@ -106,18 +109,17 @@ class FrequencySampling:
             )
 
 
-def _lattice(geometry: GridGeometry, n: int, shift: float) -> np.ndarray:
-    """-pi/h_d + (j + shift) 2 pi/(n h_d), j = 0..n-1, on every axis."""
-    axes = [-np.pi / w + (2 * np.pi / (w * n)) * (np.arange(n) + shift)
-            for w in geometry.h]
-    grids = np.meshgrid(*axes, indexing="ij")
+def _lattice(dimension: int, n: int, shift: float) -> np.ndarray:
+    """The axis -pi + (j + shift) 2 pi/n, j = 0..n-1, on each of d axes."""
+    axis = -np.pi + (2 * np.pi / n) * (np.arange(n) + shift)
+    grids = np.meshgrid(*[axis] * dimension, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def frequency_lattice(geometry: GridGeometry,
                       sampling: FrequencySampling) -> np.ndarray:
-    """Inclusive uniform lattice over (-pi/h_d, pi/h_d] (contains 0 and pi/h)."""
-    return _lattice(geometry, sampling.samples_per_axis, 1.0)
+    """Inclusive uniform lattice over (-pi, pi]^d (contains 0 and pi)."""
+    return _lattice(geometry.dimension, sampling.samples_per_axis, 1.0)
 
 
 def lattice_symbol(stencil: Stencil, kind: str, sampling: FrequencySampling
@@ -146,38 +148,33 @@ def high_closure_values(stencil: Stencil, kind: str,
     """Sorted distinct X~ over the high closure of the lattice (read-only)."""
     x = _lattice_x(stencil, kind, sampling)  # first: one lattice at a time
     theta = frequency_lattice(stencil.geometry, sampling)
-    hi = high_closure_mask(stencil.geometry, k, theta)
-    return read_only(np.unique(x[hi]))
+    return read_only(np.unique(x[high_closure_mask(k, theta)]))
 
 
-def low_frequency_mask(geometry: GridGeometry, k: int,
-                       theta: np.ndarray) -> np.ndarray:
-    """Membership in Theta_{2^k h}: the half-open box (-b_d, b_d] per axis."""
-    h = np.asarray(geometry.h)
-    b = np.pi / (2**k * h)
+def low_frequency_mask(k: int, theta: np.ndarray) -> np.ndarray:
+    """Low phases of 2^k coarsening: the half-open box (-b, b]^d, b = pi/2^k."""
+    b = np.pi / 2**k
     eps = 1e-12 * b
     return np.all((theta > -b - eps) & (theta <= b + eps), axis=-1)
 
 
-def high_closure_mask(geometry: GridGeometry, k: int,
-                      theta: np.ndarray) -> np.ndarray:
+def high_closure_mask(k: int, theta: np.ndarray) -> np.ndarray:
     """Closure of the high-frequency region (keeps the low-box boundary)."""
-    h = np.asarray(geometry.h)
-    b = np.pi / (2**k * h)
-    return np.max(np.abs(theta) / b, axis=-1) >= 1.0 - 1e-12
+    return np.max(np.abs(theta) / (np.pi / 2**k), axis=-1) >= 1.0 - 1e-12
 
 
 def sample_frequencies(geometry: GridGeometry, k: int,
                        sampling: FrequencySampling
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Offset uniform lattice over Theta_h, split into (low, high).
+    """Offset uniform lattice over (-pi, pi]^d, split into (low, high).
 
     The lattice is shifted by OFFSET_FRACTION of a step so theta = 0 is
     never sampled; exactly (N/2^k)^d samples land in the low box.
     """
     sampling.validate_ratio(k)
-    theta = _lattice(geometry, sampling.samples_per_axis, OFFSET_FRACTION)
-    low = low_frequency_mask(geometry, k, theta)
+    theta = _lattice(geometry.dimension, sampling.samples_per_axis,
+                     OFFSET_FRACTION)
+    low = low_frequency_mask(k, theta)
     return theta[low], theta[~low]
 
 
@@ -185,11 +182,8 @@ def _polish_max(stencil: Stencil, kind: str, theta0: np.ndarray,
                 k: int | None = None) -> float:
     """Local refinement of max |X~| from a lattice seed (torus); with ``k``,
     points strictly inside the low box of 2^k coarsening never count."""
-    top = np.pi / np.asarray(stencil.geometry.h)
-
     def neg(t):
-        if k and not high_closure_mask(stencil.geometry, k,
-                                       top - np.mod(top - t, 2 * top)):
+        if k and not high_closure_mask(k, np.pi - np.mod(np.pi - t, 2 * np.pi)):
             return np.inf
         return -abs(float(preconditioned_symbol(stencil, kind, t[None])[0]))
 
@@ -210,18 +204,15 @@ def _lambda1(stencil: Stencil, kind: str,
 def _polish_face_min(stencil: Stencil, kind: str, k: int, axis: int,
                      sign: float, start: np.ndarray) -> float:
     """Minimize |X~| over one face of the low box, free coordinates bounded."""
-    h = np.asarray(stencil.geometry.h)
-    b = np.pi / (2**k * h)
-    fixed = sign * b[axis]
+    b = np.pi / 2**k
 
     def val(free):
-        t = np.insert(np.atleast_1d(free), axis, fixed)
+        t = np.insert(np.atleast_1d(free), axis, sign * b)
         return abs(float(preconditioned_symbol(stencil, kind, t[None])[0]))
 
-    free_b = np.delete(b, axis)
     # the lattice seed may lie beyond the low box on a free axis
-    res = minimize(val, np.clip(np.delete(start, axis), -free_b, free_b),
-                   method="Powell", bounds=list(zip(-free_b, free_b)),
+    res = minimize(val, np.clip(np.delete(start, axis), -b, b),
+                   method="Powell", bounds=[(-b, b)] * (len(start) - 1),
                    options={"xtol": 1e-12, "ftol": 1e-15, "maxiter": 2000})
     return float(res.fun)
 
@@ -245,7 +236,6 @@ def lambda_bounds(stencil: Stencil, kind: str, k: int,
         raise ValueError("lambda bounds require a symmetric stencil")
     sampling = sampling or FrequencySampling()
     sampling.validate_ratio(k)
-    geometry = stencil.geometry
     theta, x = lattice_symbol(stencil, kind, sampling)
     if np.min(x) < -REAL_SYMBOL_TOL:
         raise ValueError("preconditioned symbol is not positive semi-definite")
@@ -254,17 +244,17 @@ def lambda_bounds(stencil: Stencil, kind: str, k: int,
 
     values = high_closure_values(stencil, kind, sampling, k)
     lam0 = float(np.min(np.abs(values)))
-    b = np.pi / (2**k * np.asarray(geometry.h))
-    for axis in range(geometry.dimension):  # face points are all high
+    b = np.pi / 2**k
+    for axis in range(stencil.geometry.dimension):  # face points are all high
         for sign in (-1.0, 1.0):
-            on_face = np.abs(theta[:, axis] - sign * b[axis]) < 1e-12 * b[axis]
+            on_face = np.abs(theta[:, axis] - sign * b) < 1e-12 * b
             if not np.any(on_face):
                 continue
             start = theta[on_face][int(np.argmin(ax[on_face]))]
             lam0 = min(lam0, _polish_face_min(stencil, kind, k, axis, sign, start))
 
-    if not high_closure_mask(geometry, k, theta[top]):
-        hi = high_closure_mask(geometry, k, theta)
+    if not high_closure_mask(k, theta[top]):
+        hi = high_closure_mask(k, theta)
         seed = int(np.argmax(ax[hi]))
         lam1_high = max(float(ax[hi][seed]),
                         _polish_max(stencil, kind, theta[hi][seed], k))

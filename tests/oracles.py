@@ -296,11 +296,11 @@ def eigenvalues_by_roots(a: np.ndarray) -> np.ndarray:
 # naive summations / assemblies
 # ---------------------------------------------------------------------------
 
-def naive_symbol(offsets, coefficients, h, theta) -> complex:
-    """Term-by-term complex sum for one frequency (scalar loop)."""
+def naive_symbol(offsets, coefficients, theta) -> complex:
+    """Term-by-term complex sum for one phase vector (scalar loop)."""
     acc = 0.0 + 0.0j
     for off, c in zip(offsets, coefficients):
-        phase = sum(t * o * hh for t, o, hh in zip(theta, off, h))
+        phase = sum(t * o for t, o in zip(theta, off))
         acc += c * complex(np.cos(phase), np.sin(phase))
     return acc
 
@@ -443,7 +443,7 @@ def full_sweep_smoothing_factor(stencil, spec, k: int, preconditioner: str,
 
     theta = frequency_lattice(stencil.geometry, sampling)
     x = preconditioned_symbol(stencil, preconditioner, theta)
-    x = x[high_closure_mask(stencil.geometry, k, theta)]
+    x = x[high_closure_mask(k, theta)]
     return float(np.max(np.abs(error_poly(spec, x)) ** iterations))
 
 
@@ -463,14 +463,13 @@ def two_polish_lambda_bounds(stencil, kind: str, k: int,
     lam1 = float(np.max(ax))
     lam1 = max(lam1, _polish_max(stencil, kind, theta[int(np.argmax(ax))]))
 
-    hi = high_closure_mask(stencil.geometry, k, theta)
+    hi = high_closure_mask(k, theta)
     theta_hi, ax_hi = theta[hi], ax[hi]
     lam0 = float(np.min(ax_hi))
-    b = np.pi / (2**k * np.asarray(stencil.geometry.h))
+    b = np.pi / 2**k
     for axis in range(stencil.geometry.dimension):
         for sign in (-1.0, 1.0):
-            on_face = (np.abs(theta_hi[:, axis] - sign * b[axis])
-                       < 1e-12 * b[axis])
+            on_face = np.abs(theta_hi[:, axis] - sign * b) < 1e-12 * b
             if np.any(on_face):
                 start = theta_hi[on_face][int(np.argmin(ax_hi[on_face]))]
                 lam0 = min(lam0, _polish_face_min(stencil, kind, k, axis,

@@ -328,7 +328,7 @@ def test_criterion_9_property_suites(table3, table4, table5):
     sampling = FrequencySampling(samples_per_axis=16)
     low, high = sample_frequencies(geo, 2, sampling)
     union = [tuple(np.round(t, 9)) for t0 in low
-             for t in harmonic_frequencies(geo, 2, t0)]
+             for t in harmonic_frequencies(2, t0)]
     full = {tuple(np.round(t, 9)) for t in np.vstack([low, high])}
     assert len(union) == len(full) and set(union) == full
 

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -344,6 +345,14 @@ def _with(doc, mutate):
     return doc
 
 
+def _five_point(centre, neighbour):
+    """A 5-point stencil document with unit mesh width."""
+    axes = ([1, 0], [-1, 0], [0, 1], [0, -1])
+    return {"geometry": {"kind": "rectangular", "h": [1.0, 1.0]},
+            "entries": [{"offset": [0, 0], "coefficient": centre}]
+            + [{"offset": o, "coefficient": neighbour} for o in axes]}
+
+
 @pytest.mark.parametrize("document,message", [
     ({}, "geometry"),
     (_with(Q1_STENCIL, lambda d: d.pop("entries")), "entries"),
@@ -356,8 +365,11 @@ def _with(doc, mutate):
      "finite"),
     (_with(Q1_STENCIL, lambda d: d["entries"][2].update(offset=[1.5, 0])),
      "entries[2].offset"),
+    (_five_point(1.6e308, -4e307), "overflow"),
+    (_five_point(1e308, -1e308), "overflow"),
 ], ids=["empty-object", "no-entries", "array", "null-coefficient",
-        "inf-coefficient", "nan-h", "fractional-offset"])
+        "inf-coefficient", "nan-h", "fractional-offset",
+        "coefficient-sum-overflow", "coefficient-sum-overflow-1e308"])
 def test_malformed_stencil_file_is_a_json_error(tmp_path, capsys, document,
                                                 message):
     path = tmp_path / "bad.json"
@@ -371,6 +383,23 @@ def test_malformed_stencil_file_is_a_json_error(tmp_path, capsys, document,
     error = json.loads(err)
     assert error["error"] == "ValueError"
     assert message in error["message"]
+
+
+def test_tiny_mesh_width_stencil_file(tmp_path, capsys):
+    # phases carry no mesh width: h = 1e-200 reproduces the h = 1 report
+    mu = {}
+    for w in (1.0, 1e-200):
+        path = tmp_path / f"q1-{w}.json"
+        path.write_text(json.dumps(
+            _with(Q1_STENCIL, lambda d: d["geometry"].update(h=[w, w]))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "smoothing-factor", "--stencil-file", str(path),
+                "--family", "cheb", "--degree", "2")
+        assert code == 0 and err == ""
+        mu[w] = json.loads(out)["mu"]
+    assert mu[1e-200] == mu[1.0]
 
 
 def test_non_finite_mesh_width_flag(capsys):

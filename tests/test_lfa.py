@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,37 @@ def test_cached_smoothing_analysis_is_bit_identical(name, kind):
                                                 SAMPLING, nu)
 
 
+def _at_mesh_width(stencil, w):
+    """``stencil`` on a grid of mesh width w, its coefficients unchanged."""
+    h = (w,) * stencil.geometry.dimension
+    return replace(stencil, geometry=replace(stencil.geometry, h=h))
+
+
+def _analysis(stencil, k):
+    """lambda0, lambda1, mu and both two-grid factors, on 16 samples."""
+    sampling = FrequencySampling(16)
+    lam0, lam1 = lambda_bounds(stencil, JACOBI, k, sampling)
+    spec = SmootherSpec(CHEBYSHEV, 2, lam0, lam1)
+    return (lam0, lam1, smoothing_factor(stencil, spec, k, sampling=sampling),
+            *(rho_two_grid(TwoGridConfig(stencil=stencil, smoother=spec, k=k,
+                                         coarse_mode=mode, sampling=sampling))
+              for mode in (GALERKIN, REDISCRETIZED)))
+
+
+@pytest.mark.parametrize("name", ["fd2d", "fd3d", "q1", "equilateral",
+                                  "isosceles-80"])
+def test_lfa_does_not_depend_on_mesh_width(name):
+    # phases carry no h: with the coefficients fixed every number is exact,
+    # and so with them scaled by h^-2 = 2^-60, a power of two
+    stencil = EXACT_STENCILS[name]
+    others = [_at_mesh_width(stencil, w) for w in (1e-200, 1e-3, 1e3)]
+    others.append(stencil.with_mesh_width(2.0**30))
+    for k in (1, 2):
+        want = _analysis(stencil, k)
+        for other in others:
+            assert _analysis(other, k) == want
+
+
 def test_smoothing_factor_validation():
     spec = SmootherSpec(CHEBYSHEV, 2, 0.5, 2.0)
     for k in (0, -1):
@@ -116,12 +148,11 @@ def test_prolongation_symbol_is_the_solver_tables_fourier_sum(name, k):
     # the closed-form symbol against the nodal tables the solver applies
     geometry = EXACT_STENCILS[name].geometry
     d = geometry.dimension
-    h = np.asarray(geometry.h)
     rng = np.random.default_rng(k)
     theta = np.vstack([np.zeros(d), np.full(d, np.pi),
-                       rng.uniform(-np.pi, np.pi, size=(40, d))]) / h
+                       rng.uniform(-np.pi, np.pi, size=(40, d))])
     offsets, weights = transfer_nodal_table(geometry, k)
-    want = fourier_sum(theta, offsets * h, weights.astype(complex))
+    want = fourier_sum(theta, offsets, weights.astype(complex))
     assert np.max(np.abs(want.imag)) <= 1e-12
     got = prolongation_symbol(theta, k, geometry)
     assert np.max(np.abs(got - want.real)) <= 1e-12
@@ -147,7 +178,7 @@ def test_harmonic_partition(dimension, k, n):
     full = {tuple(np.round(t, 9)) for t in np.vstack([low, high])}
     union = []
     for theta0 in low:
-        for t in harmonic_frequencies(geo, k, theta0):
+        for t in harmonic_frequencies(k, theta0):
             union.append(tuple(np.round(t, 9)))
     assert len(union) == len(full)
     assert set(union) == full
@@ -156,20 +187,20 @@ def test_harmonic_partition(dimension, k, n):
 def test_harmonics_count_and_distinct():
     theta0 = np.array([0.21, -0.37])
     for k in (1, 2, 3):
-        h = harmonic_frequencies(FD2.geometry, k, theta0)
+        h = harmonic_frequencies(k, theta0)
         assert h.shape == (4**k, 2)
         assert len({tuple(np.round(t, 12)) for t in h}) == 4**k
-    h3 = harmonic_frequencies(FD3.geometry, 1, np.array([0.2, 0.3, -0.4]))
+    h3 = harmonic_frequencies(1, np.array([0.2, 0.3, -0.4]))
     assert h3.shape == (8, 3)
 
 
 def test_harmonic_frequencies_vectorized():
     for geo, k in ((FD2.geometry, 2), (FD3.geometry, 1), (EQUI.geometry, 3)):
         lows, _ = sample_frequencies(geo, k, FrequencySampling(16))
-        rows = np.stack([harmonic_frequencies(geo, k, t) for t in lows])
-        assert np.array_equal(harmonic_frequencies(geo, k, lows), rows)
+        rows = np.stack([harmonic_frequencies(k, t) for t in lows])
+        assert np.array_equal(harmonic_frequencies(k, lows), rows)
         batch = lows[:4].reshape(2, 2, -1)
-        assert np.array_equal(harmonic_frequencies(geo, k, batch),
+        assert np.array_equal(harmonic_frequencies(k, batch),
                               rows[:4].reshape(2, 2, *rows.shape[1:]))
 
 
@@ -379,14 +410,28 @@ def test_gamma_above_one_takes_dense_fallback(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", [GALERKIN, REDISCRETIZED])
-def test_nonsymmetric_stencil_takes_dense_fallback(mode, monkeypatch):
+def test_two_grid_refuses_nonsymmetric_stencil(mode):
+    # the smoother symbol is built from Re A~, which is wrong for upwinding;
+    # the symmetry test is relative, so scaling does not hide the skew
+    for scale in (1.0, 1e-15):
+        upwind = Stencil(geometry=FD2.geometry,
+                         offsets=((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)),
+                         coefficients=tuple(scale * c for c in
+                                            (5.0, -1.0, -2.0, -1.0, -1.0)))
+        with pytest.raises(ValueError, match="requires a symmetric stencil"):
+            _config(upwind, SmootherSpec(CHEBYSHEV, 2, 0.5, 2.0), 1, mode)
+        with pytest.raises(ValueError, match="symmetric"):
+            lambda_bounds(upwind, JACOBI, 1)
+
+
+def test_zero_order_term_takes_dense_fallback(monkeypatch):
+    # a reaction term lifts the fine symbol: rediscretized gamma exceeds 1
     dense = _count_dense(monkeypatch)
-    upwind = Stencil(geometry=FD2.geometry,
-                     offsets=((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)),
-                     coefficients=(4.0, -1.3, -0.7, -1.0, -1.0))
-    blocks, lows = _sweep(upwind, 1, 16, mode)
+    shifted = Stencil(geometry=FD2.geometry, offsets=FD2.offsets,
+                      coefficients=(4.5,) + FD2.coefficients[1:])
+    blocks, lows = _sweep(shifted, 1, 16, REDISCRETIZED)
     radii = blocks.radii(lows)
-    assert dense == [len(lows)]
+    assert sum(dense) > 0
     want = spectral_radii(np.stack([two_grid_block(blocks.cfg, t)
                                     for t in lows]))
     assert np.max(np.abs(radii - want)) < 1e-12
