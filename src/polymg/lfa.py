@@ -32,6 +32,20 @@ symmetric E D E, which ``eigvalsh`` computes.  The rediscretized gamma of
 nested FEM is 1 up to rounding, so gamma <= 1 + GAMMA_ROUNDING is clipped
 to 1.  Every other block (gamma above that, a negative a_i) is assembled
 densely and its radius taken by ``smallmat.spectral_radii``.
+
+Polish.  ``rho_two_grid`` refines its best lattice points by Nelder-Mead
+searches that follow SciPy's non-adaptive method step for step, but run
+in lockstep: each round evaluates every unfinished search's pending
+points (its initial simplex, its next trial points or a shrink's moved
+vertices) in one ``BlockEvaluator.radii`` batch, and each search then
+takes the branch SciPy would.  Where blocks are small, an iteration asks
+for all four trial points at once, since a batch then costs little more
+than one point; larger blocks ask for just the points SciPy evaluates.
+This returns SciPy's values exactly because ``radii`` is batch-invariant:
+a point's radius does not depend on the batch it is evaluated in.  Every
+row is computed by its own products and reductions; the coarse symbol,
+for one, is a one-row matvec per point rather than one matrix-vector
+product over the batch.
 """
 
 from __future__ import annotations
@@ -65,6 +79,13 @@ BATCH_ENTRIES = 2**22
 LAMBDA0_TOL = 1e-4
 #: uniform-scan points of the two-grid lambda0 search's fallback
 LAMBDA0_SCAN_POINTS = 200
+#: Nelder-Mead stopping tolerances of the rho polish (phase, radius)
+POLISH_XATOL = 1e-8
+POLISH_FATOL = 1e-11
+#: largest block (2^{kd} harmonics) at which the polish evaluates all four
+#: Nelder-Mead trial points at once; above it a point's eigen-solve costs
+#: more than the per-batch overhead, so only the needed points are evaluated
+SPECULATE_MAX_BLOCK = 16
 
 
 @dataclass
@@ -155,9 +176,11 @@ def prolongation_symbol(theta: np.ndarray, k: int,
     """
     m = 2**k
     half = np.asarray(theta, dtype=float) / 2.0
+    # one 2-D product: a stacked matmul would run one small product per row
+    flat = half.reshape(-1, half.shape[-1])
     symbol, power = 1.0, -geometry.dimension
     for p, directions in _box_directions(geometry):
-        t = half @ directions
+        t = (flat @ directions).reshape(half.shape[:-1] + (-1,))
         den = np.sin(t)
         ratio = np.divide(np.sin(m * t), den, out=np.full_like(den, float(m)),
                           where=np.abs(den) >= 1e-15)
@@ -208,7 +231,9 @@ class BlockEvaluator:
             p = prol / self.m_d
             coarse = np.sum(np.conj(p) * fine * p, axis=-1)
         else:
-            coarse = fourier_sum(2**cfg.k * theta0, *self.coarse)
+            # one row per matvec, so a point's value is the same in any batch
+            coarse = fourier_sum(2**cfg.k * theta0[..., None, :],
+                                 *self.coarse)[..., 0]
         if np.min(np.abs(coarse)) < SINGULAR_COARSE_TOL * self.diagonal:
             raise ValueError(
                 "singular coarse symbol at a base frequency; the sampling "
@@ -299,22 +324,118 @@ def two_grid_block(cfg: TwoGridConfig, theta0: np.ndarray) -> np.ndarray:
     return blocks.dense(blocks.block(theta0))
 
 
-def _polish_rho(blocks: BlockEvaluator, theta0: np.ndarray,
-                maxiter: int = 200) -> float:
-    """Local refinement of the block spectral radius over the low box."""
-    from scipy.optimize import minimize
+def _negated_radii(blocks: BlockEvaluator, points: np.ndarray) -> np.ndarray:
+    """The polish objective: minus the block radius at points (P, d).
 
+    Points are clipped just inside the low box; one within 1e-5
+    half-widths of zero scores 0 (the coarse symbol is singular there).
+    """
     b = np.pi / 2**blocks.cfg.k
+    t = np.clip(points, -b * (1 - 1e-9), b * (1 - 1e-9))
+    live = np.max(np.abs(t) / b, axis=-1) >= 1e-5
+    out = np.zeros(len(t))
+    if np.any(live):
+        out[live] = -blocks.radii(t[live])
+    return out
 
-    def neg(t):
-        t = np.clip(t, -b * (1 - 1e-9), b * (1 - 1e-9))
-        if np.max(np.abs(t) / b) < 1e-5:  # singular coarse symbol at zero
-            return 0.0
-        return -float(blocks.radii(t[None])[0])
 
-    res = minimize(neg, theta0, method="Nelder-Mead",
-                   options={"xatol": 1e-8, "fatol": 1e-11, "maxiter": maxiter})
-    return -res.fun
+def _nelder_mead(x0: np.ndarray, maxiter: int, speculate: bool):
+    """SciPy's non-adaptive Nelder-Mead minimization as a coroutine.
+
+    Step for step ``minimize(method="Nelder-Mead")`` with xatol
+    POLISH_XATOL and fatol POLISH_FATOL: the same initial simplex,
+    coefficients, sorts and stopping tests.  It yields arrays of points
+    (p, n), is sent their objective values, and returns the minimum and
+    the iteration count.  With ``speculate`` an iteration asks for all four
+    trial points (reflection, expansion, outside and inside contraction)
+    at once, else for the reflection and then the one SciPy's branch
+    needs; a shrink asks for the n moved vertices.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5  # SciPy's names
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for j in range(n):
+        y = np.array(x0, copy=True)
+        y[j] = (1 + 0.05) * y[j] if y[j] != 0 else 0.00025
+        sim[j + 1] = y
+    fsim = np.array((yield sim), dtype=float)
+    for _ in range(2):  # SciPy sorts twice before its first iteration
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= POLISH_XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= POLISH_FATOL):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        trials = np.stack([(1 + rho) * xbar - rho * sim[-1],
+                           (1 + rho * chi) * xbar - rho * chi * sim[-1],
+                           (1 + psi * rho) * xbar - psi * rho * sim[-1],
+                           (1 - psi) * xbar + psi * sim[-1]])
+        known = list((yield trials)) if speculate else [None] * 4
+        xr, xe, xc, xcc = trials
+        fxr = yield from _trial_value(known, trials, 0)
+        shrink = False
+        if fxr < fsim[0]:
+            fxe = yield from _trial_value(known, trials, 1)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            fxc = yield from _trial_value(known, trials, 2)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            fxcc = yield from _trial_value(known, trials, 3)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+            fsim[1:] = (yield sim[1:])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return float(np.min(fsim)), iterations
+
+
+def _trial_value(known: list, trials: np.ndarray, i: int):
+    """Trial point i's value: speculated already, or asked for now."""
+    if known[i] is None:
+        (known[i],) = yield trials[i:i + 1]
+    return known[i]
+
+
+def _lockstep_polish(blocks: BlockEvaluator, starts: np.ndarray,
+                     maxiter: int) -> np.ndarray:
+    """Nelder-Mead maxima of the block radius from each start (S, d).
+
+    The searches advance together: every round evaluates each unfinished
+    search's pending points in one ``radii`` batch.  ``radii`` is
+    batch-invariant, so each search matches a lone SciPy run exactly.
+    Trial points are speculated (all four per iteration) where blocks
+    are small enough that a batch costs little more than one point.
+    """
+    speculate = blocks.m_d <= SPECULATE_MAX_BLOCK
+    runs = [_nelder_mead(x0, maxiter, speculate)
+            for x0 in np.asarray(starts, float)]
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    best = np.empty(len(runs))
+    while pending:
+        values = _negated_radii(blocks, np.concatenate(list(pending.values())))
+        cuts = np.cumsum([len(points) for points in pending.values()])[:-1]
+        for i, f in zip(list(pending), np.split(values, cuts)):
+            try:
+                pending[i] = runs[i].send(f)
+            except StopIteration as done:
+                best[i] = -done.value[0]
+                del pending[i]
+    return best
 
 
 def rho_two_grid(cfg: TwoGridConfig, polish: bool = True, candidates: int = 3,
@@ -332,9 +453,8 @@ def rho_two_grid(cfg: TwoGridConfig, polish: bool = True, candidates: int = 3,
     rho = float(np.max(radii))
     if polish:
         order = np.argsort(radii)[::-1][:candidates]
-        for i in order:
-            rho = max(rho, _polish_rho(blocks, lows[i],
-                                       maxiter=polish_maxiter))
+        for value in _lockstep_polish(blocks, lows[order], polish_maxiter):
+            rho = max(rho, value)
     return rho
 
 

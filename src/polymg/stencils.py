@@ -147,7 +147,8 @@ class Stencil:
             raise ValueError("offsets and coefficients must pair up")
         if not all(math.isfinite(c) for c in self.coefficients):
             raise ValueError("stencil coefficients must be finite")
-        if not math.isfinite(sum(map(abs, self.coefficients))):
+        total = sum(map(abs, self.coefficients))
+        if not math.isfinite(total):
             raise ValueError("stencil coefficient magnitudes overflow: "
                              "their sum is infinite")
         if len(set(self.offsets)) != len(self.offsets):
@@ -155,8 +156,12 @@ class Stencil:
         zero = tuple([0] * self.geometry.dimension)
         if zero not in self.offsets:
             raise ValueError("stencil must contain the zero offset")
-        if self.coefficients[self.offsets.index(zero)] <= 0:
+        center = self.coefficients[self.offsets.index(zero)]
+        if center <= 0:
             raise ValueError("center coefficient must be positive")
+        if not math.isfinite(total / center):
+            raise ValueError("stencil coefficient magnitudes overflow "
+                             "relative to the center coefficient")
         for o in self.offsets:
             if len(o) != self.geometry.dimension:
                 raise ValueError("offset dimension mismatch")

@@ -481,3 +481,26 @@ def two_polish_lambda_bounds(stencil, kind: str, k: int,
     if abs(lam1_high - lam1) > 1e-9 * lam1:
         raise ValueError("symbol maximum is not attained on the high range")
     return lam0, lam1
+
+
+# ---------------------------------------------------------------------------
+# the two-grid rho polish by SciPy's Nelder-Mead, one start at a time; it
+# shares the block radii and checks only the lockstep search
+# ---------------------------------------------------------------------------
+
+def scipy_polish_rho(blocks, theta0, maxiter: int) -> tuple[float, int]:
+    """Largest block radius Nelder-Mead finds from ``theta0`` alone, and
+    the iterations it took."""
+    from scipy.optimize import minimize
+
+    b = np.pi / 2**blocks.cfg.k
+
+    def neg(t):
+        t = np.clip(t, -b * (1 - 1e-9), b * (1 - 1e-9))
+        if np.max(np.abs(t) / b) < 1e-5:  # singular coarse symbol at zero
+            return 0.0
+        return -float(blocks.radii(t[None])[0])
+
+    res = minimize(neg, theta0, method="Nelder-Mead",
+                   options={"xatol": 1e-8, "fatol": 1e-11, "maxiter": maxiter})
+    return -res.fun, res.nit

@@ -20,8 +20,8 @@ from polymg.symbols import fourier_sum
 from polymg.tables import SMOOTHING_DEGREES, TRI_DEGREES, TRI_PRESETS
 
 from oracles import (Q1_STENCIL, bilinear_weight_stencil,
-                     full_sweep_smoothing_factor, transfer_nodal_table,
-                     two_polish_lambda_bounds)
+                     full_sweep_smoothing_factor, scipy_polish_rho,
+                     transfer_nodal_table, two_polish_lambda_bounds)
 
 FD2 = build_fd_laplace(rectangular(1.0, 2))
 FD3 = build_fd_laplace(rectangular(1.0, 3))
@@ -392,6 +392,85 @@ def test_radii_in_batches_match_one_batch(monkeypatch):
     assert np.array_equal(blocks.radii(lows), whole)
 
 
+#: a reaction term lifts the fine symbol: rediscretized gamma exceeds 1
+REACTION = Stencil(geometry=FD2.geometry, offsets=FD2.offsets,
+                   coefficients=(4.5,) + FD2.coefficients[1:])
+BATCH_CASES = (
+    [(f"fd2d-k{k}", FD2, k, 32) for k in (1, 2, 3)]
+    + [(f"equilateral-k{k}", EQUI, k, 32) for k in (1, 2, 3)]
+    + [(f"fd3d-k{k}", FD3, k, 16) for k in (1, 2)]
+    + [("reaction-k1", REACTION, 1, 16)])
+
+
+@pytest.mark.parametrize("mode", [GALERKIN, REDISCRETIZED])
+@pytest.mark.parametrize("name,stencil,k,samples", BATCH_CASES,
+                         ids=[case[0] for case in BATCH_CASES])
+def test_radii_are_batch_invariant(name, stencil, k, samples, mode,
+                                   monkeypatch):
+    # the polish evaluates each point in whichever batch its round builds
+    dense = _count_dense(monkeypatch)
+    blocks, lows = _sweep(stencil, k, samples, mode)
+    single = np.array([blocks.radii(lows[i:i + 1])[0]
+                       for i in range(len(lows))])
+    for size in (3, 4, 12, len(lows)):
+        batched = np.concatenate([blocks.radii(lows[i:i + size])
+                                  for i in range(0, len(lows), size)])
+        assert np.array_equal(batched, single), size
+    if stencil is REACTION and mode == REDISCRETIZED:
+        assert sum(dense) > 0
+
+
+def _search_alone(blocks, x0, maxiter, speculate):
+    """One polish search run by itself: (value, iterations, shrinks).
+
+    A shrink asks for its n = 2 or 3 moved vertices at once; every other
+    request holds one trial point or all four.
+    """
+    run = lfa._nelder_mead(x0, maxiter, speculate)
+    points, shrinks = next(run), 0
+    try:
+        while True:
+            points = run.send(lfa._negated_radii(blocks, points))
+            shrinks += len(points) == len(x0)
+    except StopIteration as done:
+        value, iterations = done.value
+        return -value, iterations, shrinks
+
+
+POLISH_CASES = ((FD2, 2, REDISCRETIZED, CHEBYSHEV, 32),
+                (FD2, 3, GALERKIN, CHEBYSHEV, 32),
+                (EQUI, 1, GALERKIN, CHEBYSHEV, 32),
+                (EQUI, 2, GALERKIN, BA1X, 32),
+                (FD3, 1, REDISCRETIZED, BA1X, 16))
+
+
+@pytest.mark.parametrize("maxiter", [60, 200])
+def test_lockstep_polish_matches_scipy(maxiter):
+    stopped = shrunk = 0
+    speculated = set()
+    for stencil, k, mode, family, samples in POLISH_CASES:
+        sampling = FrequencySampling(samples_per_axis=samples)
+        blocks = BlockEvaluator(TwoGridConfig(
+            stencil=stencil, smoother=SmootherSpec(family, 3, 0.3, 2.0),
+            k=k, coarse_mode=mode, sampling=sampling))
+        speculated.add(bool(blocks.m_d <= lfa.SPECULATE_MAX_BLOCK))
+        lows, _ = sample_frequencies(stencil.geometry, k, sampling)
+        starts = lows[np.argsort(blocks.radii(lows))[::-1][:3]]
+        together = lfa._lockstep_polish(blocks, starts, maxiter)
+        for x0, value in zip(starts, together):
+            want, nit = scipy_polish_rho(blocks, x0, maxiter)
+            for speculate in (False, True):
+                alone, iterations, shrinks = _search_alone(
+                    blocks, x0, maxiter, speculate)
+                assert (alone, iterations) == (want, nit)
+            assert value == want
+            stopped += iterations == maxiter
+            shrunk += shrinks > 0
+    # both trial modes ran, and the shrink branch and iteration cap were hit
+    assert speculated == {False, True}
+    assert stopped > 0 and shrunk > 0
+
+
 def test_gamma_above_one_takes_dense_fallback(monkeypatch):
     dense = _count_dense(monkeypatch)
     blocks, lows = _sweep(FD2, 2, 32, REDISCRETIZED)
@@ -425,11 +504,8 @@ def test_two_grid_refuses_nonsymmetric_stencil(mode):
 
 
 def test_zero_order_term_takes_dense_fallback(monkeypatch):
-    # a reaction term lifts the fine symbol: rediscretized gamma exceeds 1
     dense = _count_dense(monkeypatch)
-    shifted = Stencil(geometry=FD2.geometry, offsets=FD2.offsets,
-                      coefficients=(4.5,) + FD2.coefficients[1:])
-    blocks, lows = _sweep(shifted, 1, 16, REDISCRETIZED)
+    blocks, lows = _sweep(REACTION, 1, 16, REDISCRETIZED)
     radii = blocks.radii(lows)
     assert sum(dense) > 0
     want = spectral_radii(np.stack([two_grid_block(blocks.cfg, t)
