@@ -26,6 +26,10 @@ PRECONDITIONERS = (JACOBI, L1_JACOBI)
 REAL_SYMBOL_TOL = 1e-12
 #: shift, in lattice steps, of the sampled lattice off theta = 0
 OFFSET_FRACTION = 0.5
+#: points per free axis of the lambda0 face search's grid (odd: the
+#: incumbent is one of them), and the window below which the search stops
+FACE_GRID = 9
+FACE_XTOL = 1e-12
 
 
 def read_only(array: np.ndarray) -> np.ndarray:
@@ -131,22 +135,24 @@ def lattice_symbol(stencil: Stencil, kind: str, sampling: FrequencySampling
     sampling, k) (``high_closure_values``), both read-only; results read
     from them are bit-identical to a full sweep.  The lattice is rebuilt.
     """
-    x = _lattice_x(stencil, kind, sampling)  # first: one lattice at a time
+    x, _ = _lattice_x(stencil, kind, sampling)  # first: one lattice at a time
     return frequency_lattice(stencil.geometry, sampling), x
 
 
 @lru_cache(maxsize=4)
 def _lattice_x(stencil: Stencil, kind: str,
-               sampling: FrequencySampling) -> np.ndarray:
-    return read_only(preconditioned_symbol(
-        stencil, kind, frequency_lattice(stencil.geometry, sampling)))
+               sampling: FrequencySampling) -> tuple[np.ndarray, float]:
+    """X~ on the inclusive lattice (read-only) and its minimum."""
+    x = preconditioned_symbol(stencil, kind,
+                              frequency_lattice(stencil.geometry, sampling))
+    return read_only(x), float(np.min(x))
 
 
 @lru_cache(maxsize=16)
 def high_closure_values(stencil: Stencil, kind: str,
                         sampling: FrequencySampling, k: int) -> np.ndarray:
     """Sorted distinct X~ over the high closure of the lattice (read-only)."""
-    x = _lattice_x(stencil, kind, sampling)  # first: one lattice at a time
+    x, _ = _lattice_x(stencil, kind, sampling)  # first: one lattice at a time
     theta = frequency_lattice(stencil.geometry, sampling)
     return read_only(np.unique(x[high_closure_mask(k, theta)]))
 
@@ -201,20 +207,71 @@ def _lambda1(stencil: Stencil, kind: str,
     return max(abs(float(x[top])), _polish_max(stencil, kind, theta[top])), top
 
 
-def _polish_face_min(stencil: Stencil, kind: str, k: int, axis: int,
-                     sign: float, start: np.ndarray) -> float:
-    """Minimize |X~| over one face of the low box, free coordinates bounded."""
+def _face_seeds(stencil: Stencil, kind: str, k: int,
+                sampling: FrequencySampling) -> tuple[np.ndarray, np.ndarray]:
+    """One seed per low-box face (axis, sign): the point of least |X~| on
+    the exact face theta_axis = sign b whose free coordinates are lattice
+    values in [-b, b].  Returns (seeds (2d, d), axes (2d,)).
+
+    When the face is a lattice plane the values are read from the cached
+    lattice; otherwise every face's free lattice is evaluated in one call.
+    """
+    d = stencil.geometry.dimension
+    n = sampling.samples_per_axis
     b = np.pi / 2**k
+    ticks = _lattice(1, n, 1.0)[:, 0]
+    inside = np.flatnonzero(np.abs(ticks) <= b * (1 + 1e-12))
+    free = np.stack(np.meshgrid(*[ticks[inside]] * (d - 1), indexing="ij"),
+                    axis=-1).reshape(-1, d - 1)
+    faces = [(axis, sign) for axis in range(d) for sign in (-1, 1)]
+    points = np.stack([np.insert(free, axis, sign * b, axis=1)
+                       for axis, sign in faces])
+    if n % 2**(k + 1) == 0:  # the faces are lattice planes
+        x = _lattice_x(stencil, kind, sampling)[0].reshape((n,) * d)
+        values = np.stack([
+            np.take(x, n // 2 + sign * (n >> (k + 1)) - 1, axis=axis)[
+                np.ix_(*[inside] * (d - 1))].ravel()
+            for axis, sign in faces])
+    else:
+        values = preconditioned_symbol(stencil, kind, points)
+    seeds = points[np.arange(len(faces)), np.argmin(np.abs(values), axis=1)]
+    return np.clip(seeds, -b, b), np.array([axis for axis, _ in faces])
 
-    def val(free):
-        t = np.insert(np.atleast_1d(free), axis, sign * b)
-        return abs(float(preconditioned_symbol(stencil, kind, t[None])[0]))
 
-    # the lattice seed may lie beyond the low box on a free axis
-    res = minimize(val, np.clip(np.delete(start, axis), -b, b),
-                   method="Powell", bounds=[(-b, b)] * (len(start) - 1),
-                   options={"xtol": 1e-12, "ftol": 1e-15, "maxiter": 2000})
-    return float(res.fun)
+def _face_minima(stencil: Stencil, kind: str, k: int, seeds: np.ndarray,
+                 axes: np.ndarray, step: float) -> np.ndarray:
+    """Local minima of |X~| on low-box faces, every face searched in lockstep.
+
+    Face f keeps coordinate ``axes[f]`` at its value in ``seeds[f]``.  Each
+    round evaluates, in one symbol call for all faces, a grid of
+    FACE_GRID points per free axis and half-width w around each face's
+    incumbent, clipped to [-b, b]; a strictly smaller value moves the
+    incumbent.  w starts at ``step`` and shrinks by (FACE_GRID - 1)/2 per
+    round while it is at least FACE_XTOL.  Each point is its own matvec
+    row, so its value is bitwise that of a single-point call, whatever
+    the batch.
+    """
+    b = np.pi / 2**k
+    faces, d = seeds.shape
+    ticks = np.linspace(-1.0, 1.0, FACE_GRID)
+    grid = np.stack(np.meshgrid(*[ticks] * (d - 1), indexing="ij"),
+                    axis=-1).reshape(-1, d - 1)
+    offsets = np.stack([np.insert(grid, axis, 0.0, axis=1) for axis in axes])
+    x = np.array(seeds, dtype=float)
+    best = np.full(faces, np.inf)
+    rows = np.arange(faces)
+    w = step
+    while w >= FACE_XTOL:
+        trial = np.clip(x[:, None, :] + w * offsets, -b, b)
+        values = np.abs(preconditioned_symbol(
+            stencil, kind, trial.reshape(-1, 1, d))[:, 0]).reshape(faces, -1)
+        j = np.argmin(values, axis=1)
+        low = values[rows, j]
+        better = low < best
+        x[better] = trial[better, j[better]]
+        best[better] = low[better]
+        w /= (FACE_GRID - 1) / 2
+    return best
 
 
 def lambda_bounds(stencil: Stencil, kind: str, k: int,
@@ -223,40 +280,40 @@ def lambda_bounds(stencil: Stencil, kind: str, k: int,
     """LFA eigenvalue bounds of [A_h^+]^{-1} A_h over the high frequencies.
 
     lambda0 is the minimum of |X~| over the closure of the high-frequency
-    region (lattice sweep plus local refinement on the low-box faces, so
-    boundary infima such as the 5-point value 1/2 are met exactly);
+    region: the lattice minimum there (``high_closure_values``), refined on
+    the 2d faces of the low box, where interface infima such as the 5-point
+    value 1/2 lie.  Each face is seeded on the exact face (``_face_seeds``),
+    so every face is refined at any sampling, and all faces are refined
+    together (``_face_minima``), one symbol evaluation per round.
     lambda1 is the maximum over all frequencies, which is asserted to
-    agree with the maximum over the high range.  lambda0's sweep reads
-    ``high_closure_values``; lambda1 and its polish are cached per
-    (stencil, preconditioner, sampling), and the high-range maximum,
-    polished inside the high closure, is only computed when lambda1's
-    seed lies outside it.  The bounds are bit-identical to full sweeps.
+    agree with the maximum over the high range.  lambda1 and its polish
+    are cached per (stencil, preconditioner, sampling), and the high-range
+    maximum, polished inside the high closure, is only computed when
+    lambda1's seed lies outside it; only then is the full lattice built.
     """
     if not stencil.is_symmetric():
         raise ValueError("lambda bounds require a symmetric stencil")
     sampling = sampling or FrequencySampling()
     sampling.validate_ratio(k)
-    theta, x = lattice_symbol(stencil, kind, sampling)
-    if np.min(x) < -REAL_SYMBOL_TOL:
+    n, d = sampling.samples_per_axis, stencil.geometry.dimension
+    if _lattice_x(stencil, kind, sampling)[1] < -REAL_SYMBOL_TOL:
         raise ValueError("preconditioned symbol is not positive semi-definite")
-    ax = np.abs(x)
     lam1, top = _lambda1(stencil, kind, sampling)
 
-    values = high_closure_values(stencil, kind, sampling, k)
-    lam0 = float(np.min(np.abs(values)))
-    b = np.pi / 2**k
-    for axis in range(stencil.geometry.dimension):  # face points are all high
-        for sign in (-1.0, 1.0):
-            on_face = np.abs(theta[:, axis] - sign * b) < 1e-12 * b
-            if not np.any(on_face):
-                continue
-            start = theta[on_face][int(np.argmin(ax[on_face]))]
-            lam0 = min(lam0, _polish_face_min(stencil, kind, k, axis, sign, start))
+    lattice_min = np.min(np.abs(high_closure_values(stencil, kind,
+                                                    sampling, k)))
+    seeds, axes = _face_seeds(stencil, kind, k, sampling)
+    face_min = np.min(_face_minima(stencil, kind, k, seeds, axes,
+                                   2 * np.pi / n))
+    lam0 = min(float(lattice_min), float(face_min))
 
-    if not high_closure_mask(k, theta[top]):
+    ticks = _lattice(1, n, 1.0)[:, 0]
+    if not high_closure_mask(k, ticks[list(np.unravel_index(top, (n,) * d))]):
+        theta, x = lattice_symbol(stencil, kind, sampling)
         hi = high_closure_mask(k, theta)
-        seed = int(np.argmax(ax[hi]))
-        lam1_high = max(float(ax[hi][seed]),
+        ax = np.abs(x[hi])
+        seed = int(np.argmax(ax))
+        lam1_high = max(float(ax[seed]),
                         _polish_max(stencil, kind, theta[hi][seed], k))
         if abs(lam1_high - lam1) > 1e-9 * lam1:
             raise ValueError(

@@ -452,11 +452,11 @@ def two_polish_lambda_bounds(stencil, kind: str, k: int,
     """lambda_bounds polishing lambda1 and the high-range maximum afresh.
 
     Both maxima are refined from their own lattice seeds, unconstrained,
-    on every call; the faces are searched on the high closure.
+    on every call; the face seeds are masked from a fresh full lattice,
+    whose faces must be lattice planes.
     """
-    from polymg.symbols import (_polish_face_min, _polish_max,
-                                frequency_lattice, high_closure_mask,
-                                preconditioned_symbol)
+    from polymg.symbols import (_face_minima, _polish_max, frequency_lattice,
+                                high_closure_mask, preconditioned_symbol)
 
     theta = frequency_lattice(stencil.geometry, sampling)
     ax = np.abs(preconditioned_symbol(stencil, kind, theta))
@@ -465,15 +465,20 @@ def two_polish_lambda_bounds(stencil, kind: str, k: int,
 
     hi = high_closure_mask(k, theta)
     theta_hi, ax_hi = theta[hi], ax[hi]
-    lam0 = float(np.min(ax_hi))
     b = np.pi / 2**k
+    inside = np.abs(theta_hi) <= b * (1 + 1e-12)
+    seeds, axes = [], []
     for axis in range(stencil.geometry.dimension):
         for sign in (-1.0, 1.0):
             on_face = np.abs(theta_hi[:, axis] - sign * b) < 1e-12 * b
-            if np.any(on_face):
-                start = theta_hi[on_face][int(np.argmin(ax_hi[on_face]))]
-                lam0 = min(lam0, _polish_face_min(stencil, kind, k, axis,
-                                                  sign, start))
+            on_face &= np.all(np.delete(inside, axis, axis=1), axis=1)
+            seed = theta_hi[on_face][int(np.argmin(ax_hi[on_face]))].copy()
+            seed[axis] = sign * b
+            seeds.append(np.clip(seed, -b, b))
+            axes.append(axis)
+    lam0 = min(float(np.min(ax_hi)), float(np.min(_face_minima(
+        stencil, kind, k, np.array(seeds), np.array(axes),
+        2 * np.pi / sampling.samples_per_axis))))
 
     lam1_high = float(np.max(ax_hi))
     lam1_high = max(lam1_high, _polish_max(
@@ -481,6 +486,44 @@ def two_polish_lambda_bounds(stencil, kind: str, k: int,
     if abs(lam1_high - lam1) > 1e-9 * lam1:
         raise ValueError("symbol maximum is not attained on the high range")
     return lam0, lam1
+
+
+# ---------------------------------------------------------------------------
+# lambda0 by SciPy's bounded Powell search, one point per step on each
+# low-box face in turn; it shares the symbol and checks the face search
+# ---------------------------------------------------------------------------
+
+def powell_lambda0(stencil, kind: str, k: int, sampling) -> float:
+    """min |X~| over the high closure: the lattice minimum, refined by
+    Powell on every low-box face from that face's lowest lattice point
+    (its free coordinates clipped into the box).  The faces must be
+    lattice planes."""
+    from scipy.optimize import minimize
+
+    from polymg.symbols import (frequency_lattice, high_closure_mask,
+                                preconditioned_symbol)
+
+    theta = frequency_lattice(stencil.geometry, sampling)
+    ax = np.abs(preconditioned_symbol(stencil, kind, theta))
+    lam0 = float(np.min(ax[high_closure_mask(k, theta)]))
+    b = np.pi / 2**k
+    for axis in range(stencil.geometry.dimension):
+        for sign in (-1.0, 1.0):
+            on_face = np.abs(theta[:, axis] - sign * b) < 1e-12 * b
+            start = theta[on_face][int(np.argmin(ax[on_face]))]
+
+            def val(free, axis=axis, sign=sign):
+                t = np.insert(np.atleast_1d(free), axis, sign * b)
+                return abs(float(preconditioned_symbol(stencil, kind,
+                                                       t[None])[0]))
+
+            res = minimize(val, np.clip(np.delete(start, axis), -b, b),
+                           method="Powell",
+                           bounds=[(-b, b)] * (len(start) - 1),
+                           options={"xtol": 1e-12, "ftol": 1e-15,
+                                    "maxiter": 2000})
+            lam0 = min(lam0, float(res.fun))
+    return lam0
 
 
 # ---------------------------------------------------------------------------

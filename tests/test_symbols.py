@@ -14,7 +14,7 @@ from polymg.symbols import (frequency_lattice, high_closure_values,
                             lattice_symbol)
 from polymg.tables import TRI_PRESETS
 
-from oracles import (LOW_PEAK_STENCIL, naive_symbol,
+from oracles import (LOW_PEAK_STENCIL, naive_symbol, powell_lambda0,
                      two_polish_lambda_bounds)
 
 FD2 = build_fd_laplace(rectangular(1.0, 2))
@@ -116,6 +116,65 @@ def test_lambda_bounds_fd(stencil, k, lam0):
     l0, l1 = lambda_bounds(stencil, JACOBI, k)
     assert l0 == pytest.approx(lam0, abs=1e-9)
     assert l1 == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", [JACOBI, L1_JACOBI])
+@pytest.mark.parametrize("name", ["fd2d", "fd3d", "equilateral",
+                                  "isosceles-80"])
+def test_face_search_matches_powell(name, kind):
+    # the batched grid search meets the old per-face Powell refinement:
+    # exactly on FD faces, to a few ulps on the triangular ones
+    stencil = {"fd2d": FD2, "fd3d": FD3, "equilateral": EQUI,
+               "isosceles-80": ISO}[name]
+    sampling = FrequencySampling()
+    for k in (1, 2, 3):
+        lam0, _ = lambda_bounds(stencil, kind, k, sampling)
+        want = powell_lambda0(stencil, kind, k, sampling)
+        if stencil.geometry.kind == "rectangular":
+            assert lam0 == want
+        else:
+            assert lam0 == pytest.approx(want, rel=4e-15, abs=0)
+
+
+@pytest.mark.parametrize("stencil", [FD2, FD3])
+@pytest.mark.parametrize("n,k", [(6, 1), (10, 1), (12, 2)])
+def test_lambda0_when_faces_are_not_lattice_planes(stencil, n, k):
+    # n / 2^(k+1) is not an integer: no lattice point lies on a face, and
+    # the refinement from seeds on the exact face still meets the infimum
+    lam0, _ = lambda_bounds(stencil, JACOBI, k, FrequencySampling(n))
+    want, _ = lambda_bounds(stencil, JACOBI, k, FrequencySampling(64))
+    assert lam0 == pytest.approx(want, abs=1e-15)
+
+
+@pytest.mark.parametrize("stencil", [FD2, FD3, EQUI, ISO])
+def test_face_search_is_batch_invariant(stencil):
+    sampling = FrequencySampling()
+    step = 2 * np.pi / sampling.samples_per_axis
+    for k in (1, 2, 3):
+        seeds, axes = symbols._face_seeds(stencil, JACOBI, k, sampling)
+        together = symbols._face_minima(stencil, JACOBI, k, seeds, axes, step)
+        alone = [symbols._face_minima(stencil, JACOBI, k, seeds[i:i + 1],
+                                      axes[i:i + 1], step)[0]
+                 for i in range(len(seeds))]
+        assert together.tolist() == alone
+
+
+def test_face_search_evaluates_every_face_per_round(monkeypatch):
+    sampling = FrequencySampling()
+    lambda_bounds(FD3, JACOBI, 1, sampling)  # warm the lattice caches
+    rows = []
+    evaluate = symbols.preconditioned_symbol
+
+    def counted(stencil, kind, theta):
+        rows.append(np.shape(theta))
+        return evaluate(stencil, kind, theta)
+
+    monkeypatch.setattr(symbols, "preconditioned_symbol", counted)
+    lambda_bounds(FD3, JACOBI, 1, sampling)
+    step = 2 * np.pi / sampling.samples_per_axis
+    rounds = len([r for r in range(64) if step / 4**r >= symbols.FACE_XTOL])
+    grid = symbols.FACE_GRID**2  # per face: two free axes
+    assert rows == [(6 * grid, 1, 3)] * rounds
 
 
 def test_lambda_bounds_triangular():
