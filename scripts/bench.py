@@ -2,7 +2,7 @@
 """Write one benchmark file: machine, LFA-only table times, kernel timings
 and the per-layer counters of one traced table-2 reproduction.
 
-Usage: python scripts/bench.py --output BENCH_<n>.json
+Usage: python scripts/bench.py --output BENCH_<n>.json [--experiments]
 
 Every measurement runs in a fresh child process with one BLAS thread and
 imports polymg from the ``src/`` next to this script, so the file
@@ -19,8 +19,16 @@ describes that checkout.  Its keys:
   ``perfbench/tracer.py`` traces, plus its counters, over one cold
   ``reproduce_table(2, experiments=False)``.
 
-Not measured: the tables with their multigrid experiments and the Tier-1
-wall time, which take minutes each.
+With ``--experiments`` (it adds minutes) the file also has:
+
+* ``tables_with_experiments_s``: per table 1..7, the wall time of one cold
+  ``reproduce_table(i)``, multigrid experiments included (tables 1, 2, 6
+  and 7 have none, so they repeat their LFA-only run);
+* ``tier1``: the wall time, exit code and summary line of one run of the
+  test suite (``python -m pytest -q --continue-on-collection-errors``,
+  run from the repository root).
+
+Without it, those two are listed under ``not_measured``.
 """
 
 from __future__ import annotations
@@ -58,12 +66,27 @@ def measure_machine() -> dict:
     return environment(len(os.sched_getaffinity(0)))
 
 
-def measure_table(index: int) -> float:
+def measure_table(index: int, experiments: bool = False) -> float:
     from polymg import tables
 
     t0 = time.perf_counter()
-    tables.reproduce_table(index, experiments=False)
+    tables.reproduce_table(index, experiments=experiments)
     return time.perf_counter() - t0
+
+
+def measure_tier1() -> dict:
+    """One test-suite run: wall time, exit code and pytest's last line."""
+    env = {**os.environ, **ONE_BLAS_THREAD, "PYTHONPATH": str(ROOT / "src")}
+    t0 = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q",
+         "--continue-on-collection-errors", "-p", "no:cacheprovider"],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = [line for line in run.stdout.splitlines() if " in " in line
+             and ("passed" in line or "failed" in line)]
+    return {"wall_s": wall, "exit_code": run.returncode,
+            "summary": lines[-1].strip("= ") if lines else ""}
 
 
 def measure_table2_trace() -> dict:
@@ -90,16 +113,21 @@ def measure_kernels() -> list[dict]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--output", help="the JSON file to write")
+    ap.add_argument("--experiments", action="store_true",
+                    help="also time the seven tables with their "
+                         "experiments and one test-suite run (minutes)")
     ap.add_argument("--child", nargs="+",
                     help="run one measurement in this process and print it "
-                         "as JSON: machine, table INDEX, kernels or trace")
+                         "as JSON: machine, table INDEX [experiments], "
+                         "kernels or trace")
     args = ap.parse_args(argv)
     if args.child:
         sys.path[:0] = [str(ROOT / d) for d in ("src", "perfbench",
                                                  "scripts")]
         kind, *rest = args.child
         value = {"machine": measure_machine,
-                 "table": lambda: measure_table(int(rest[0])),
+                 "table": lambda: measure_table(int(rest[0]),
+                                                "experiments" in rest),
                  "kernels": measure_kernels,
                  "trace": measure_table2_trace}[kind]()
         print(json.dumps(value))
@@ -116,8 +144,20 @@ def main(argv=None) -> int:
     report = {"machine": _child("machine"),
               "lfa_tables_s": tables,
               "kernel_timings": _child("kernels"),
-              "table2_trace": _child("trace"),
-              "not_measured": ["tables with experiments", "Tier-1 wall time"]}
+              "table2_trace": _child("trace")}
+    if args.experiments:
+        report["tables_with_experiments_s"] = {}
+        for index in range(1, 8):
+            wall = _child("table", str(index), "experiments")
+            report["tables_with_experiments_s"][str(index)] = wall
+            print(f"table {index} with experiments: {wall:.3f} s",
+                  flush=True)
+        report["tier1"] = measure_tier1()
+        print(f"tier-1: {report['tier1']['wall_s']:.1f} s, "
+              f"{report['tier1']['summary']}", flush=True)
+    else:
+        report["not_measured"] = ["tables with experiments",
+                                  "Tier-1 wall time"]
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.output}")
     return 0

@@ -46,10 +46,23 @@ a point's radius does not depend on the batch it is evaluated in.  Every
 row is computed by its own products and reductions; the coarse symbol,
 for one, is a one-row matvec per point rather than one matrix-vector
 product over the batch.
+
+Cost of a round.  A round costs its arithmetic: the symbols of each
+point's 2^{kd} harmonics, the symmetric form and one ``eigvalsh`` per
+point (about 18 us for a 16 x 16 block on one core), plus a fixed
+cost of a few dozen small NumPy calls.  A batch whose every row takes the
+symmetric form and whose every point is live (not at zero) gathers and
+scatters nothing, and the simplex steps run on Python floats.  Within a
+two-grid lambda0 search (``optimal_lambda0_two_grid``) every evaluation
+sweeps the same lattice, so the search computes the smoother-free part
+of its blocks once (fine, prolongation and coarse symbols, u and c of
+the symmetric form); each lambda0 then costs its smoother symbols and
+eigen-solves.  Nothing is kept beyond the call.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -218,6 +231,17 @@ class BlockEvaluator:
                        symbol_terms(st.with_mesh_width(float(2**cfg.k))))
         self.diagonal = preconditioner_symbol(st, cfg.preconditioner)
 
+    def with_smoother(self, smoother: SmootherSpec) -> BlockEvaluator:
+        """This evaluator for another smoother; the stencil terms are shared."""
+        other = copy(self)
+        other.cfg = replace(self.cfg, smoother=smoother)
+        return other
+
+    @property
+    def batch_rows(self) -> int:
+        """Base frequencies per batch: BATCH_ENTRIES dense block entries."""
+        return max(1, BATCH_ENTRIES // int(self.m_d) ** 2)
+
     def block(self, theta0: np.ndarray) -> HarmonicBlock:
         """Per-harmonic symbols at base phases of shape (..., d)."""
         cfg = self.cfg
@@ -234,17 +258,20 @@ class BlockEvaluator:
             # one row per matvec, so a point's value is the same in any batch
             coarse = fourier_sum(2**cfg.k * theta0[..., None, :],
                                  *self.coarse)[..., 0]
-        if np.min(np.abs(coarse)) < SINGULAR_COARSE_TOL * self.diagonal:
+        if np.abs(coarse).min() < SINGULAR_COARSE_TOL * self.diagonal:
             raise ValueError(
                 "singular coarse symbol at a base frequency; the sampling "
                 "offset should exclude the zero frequency")
         return HarmonicBlock(
             fine_symbols=fine,
-            smoother_symbols=error_poly(cfg.smoother,
-                                        fine.real / self.diagonal),
+            smoother_symbols=self.smoother_symbols(fine),
             prolongation=prol,
             coarse_symbol=coarse,
         )
+
+    def smoother_symbols(self, fine: np.ndarray) -> np.ndarray:
+        """e(X~) of this evaluator's smoother at fine symbols A~."""
+        return error_poly(self.cfg.smoother, fine.real / self.diagonal)
 
     def dense(self, block: HarmonicBlock) -> np.ndarray:
         """S^{nu2} (I - P A_H^{-1} R A) S^{nu1} as dense complex blocks."""
@@ -256,37 +283,73 @@ class BlockEvaluator:
 
     def radii(self, lows: np.ndarray) -> np.ndarray:
         """Block spectral radii at base frequencies of shape (B, d)."""
-        step = max(1, BATCH_ENTRIES // int(self.m_d) ** 2)
+        step = self.batch_rows
+        if len(lows) <= step:
+            return self.block_radii(self.block(lows))
         return np.concatenate([self.block_radii(self.block(lows[i:i + step]))
                                for i in range(0, len(lows), step)])
 
-    def block_radii(self, block: HarmonicBlock) -> np.ndarray:
+    def symmetric_form(self, block: HarmonicBlock) -> SymmetricForm:
+        """The smoother-free part of the symmetric form of a batch of blocks
+        (leading axis B); see the module docstring."""
+        a = block.fine_symbols.real
+        p = block.prolongation / self.m_d
+        norm2 = (p * p * a).sum(axis=-1)
+        gamma = (np.ones_like(norm2) if self.cfg.coarse_mode == GALERKIN
+                 else norm2 / block.coarse_symbol.real)
+        rows = ((norm2 > 0) & (a >= 0).all(axis=-1)
+                & (gamma <= 1.0 + GAMMA_ROUNDING))
+        every = bool(rows.all())
+        take = slice(None) if every else rows
+        u = p[take] * np.sqrt(a[take]) / np.sqrt(norm2[take])[:, None]
+        c = 1.0 - np.sqrt(1.0 - np.minimum(gamma[take], 1.0))
+        return SymmetricForm(rows=rows, every=every, u=u, c=c)
+
+    def block_radii(self, block: HarmonicBlock,
+                    form: SymmetricForm | None = None) -> np.ndarray:
         """Spectral radii of a batch of blocks (leading axis B).
 
         Symmetric form E D E where it is valid (see the module docstring),
         ``smallmat.spectral_radii`` of the assembled block everywhere else.
+        ``form`` is the batch's ``symmetric_form`` if it is known already.
+        A batch whose every row takes the symmetric form gathers nothing.
         """
-        cfg = self.cfg
-        out = np.empty(np.shape(block.coarse_symbol))
-        a = block.fine_symbols.real
-        p = block.prolongation / self.m_d
-        norm2 = np.sum(p * p * a, axis=-1)
-        gamma = (np.ones_like(norm2) if cfg.coarse_mode == GALERKIN
-                 else norm2 / block.coarse_symbol.real)
+        if form is None:
+            form = self.symmetric_form(block)
+        s = block.smoother_symbols
         # non-finite smoother symbols go to the dense path, which rejects them
-        fast = ((norm2 > 0) & np.all(a >= 0, axis=-1)
-                & (gamma <= 1.0 + GAMMA_ROUNDING)
-                & np.all(np.isfinite(block.smoother_symbols), axis=-1))
-        u = p[fast] * np.sqrt(a[fast]) / np.sqrt(norm2[fast])[:, None]
-        c = 1.0 - np.sqrt(1.0 - np.minimum(gamma[fast], 1.0))
-        d = block.smoother_symbols[fast] ** (cfg.nu1 + cfg.nu2)
-        out[fast] = _symmetric_radii(d, u, c)
+        fast = form.rows & np.isfinite(s).all(axis=-1)
+        every = form.every and bool(fast.all())
+        take, keep = ((slice(None),) * 2 if every
+                      else (fast, fast[form.rows]))
+        radii = _symmetric_radii(s[take] ** (self.cfg.nu1 + self.cfg.nu2),
+                                 form.u[keep], form.c[keep])
+        if every:
+            return radii
+        out = np.empty(len(fast))
+        out[fast] = radii
         if not np.all(fast):
             slow = ~fast
             rest = HarmonicBlock(**{name: value[slow]
                                     for name, value in vars(block).items()})
             out[slow] = spectral_radii(self.dense(rest))
         return out
+
+
+@dataclass
+class SymmetricForm:
+    """The smoother-free part of E D E for a batch of blocks.
+
+    ``rows`` marks the blocks whose coarse-grid correction has the
+    symmetric form (a_i >= 0, a positive norm, gamma within rounding of
+    1 or below); u and c are given for those rows only, and ``every``
+    says whether that is all of them.
+    """
+
+    rows: np.ndarray
+    every: bool
+    u: np.ndarray
+    c: np.ndarray
 
 
 def _symmetric_radii(d: np.ndarray, u: np.ndarray,
@@ -324,55 +387,67 @@ def two_grid_block(cfg: TwoGridConfig, theta0: np.ndarray) -> np.ndarray:
     return blocks.dense(blocks.block(theta0))
 
 
-def _negated_radii(blocks: BlockEvaluator, points: np.ndarray) -> np.ndarray:
+def _negated_radii(blocks: BlockEvaluator, points) -> np.ndarray:
     """The polish objective: minus the block radius at points (P, d).
 
     Points are clipped just inside the low box; one within 1e-5
     half-widths of zero scores 0 (the coarse symbol is singular there).
     """
     b = np.pi / 2**blocks.cfg.k
-    t = np.clip(points, -b * (1 - 1e-9), b * (1 - 1e-9))
-    live = np.max(np.abs(t) / b, axis=-1) >= 1e-5
+    t = np.array(points, dtype=float).clip(-b * (1 - 1e-9), b * (1 - 1e-9))
+    live = (np.abs(t) / b).max(axis=-1) >= 1e-5
+    if live.all():
+        return -blocks.radii(t)
     out = np.zeros(len(t))
-    if np.any(live):
+    if live.any():
         out[live] = -blocks.radii(t[live])
     return out
 
 
-def _nelder_mead(x0: np.ndarray, maxiter: int, speculate: bool):
+def _nelder_mead(x0, maxiter: int, speculate: bool):
     """SciPy's non-adaptive Nelder-Mead minimization as a coroutine.
 
     Step for step ``minimize(method="Nelder-Mead")`` with xatol
     POLISH_XATOL and fatol POLISH_FATOL: the same initial simplex,
-    coefficients, sorts and stopping tests.  It yields arrays of points
-    (p, n), is sent their objective values, and returns the minimum and
-    the iteration count.  With ``speculate`` an iteration asks for all four
-    trial points (reflection, expansion, outside and inside contraction)
-    at once, else for the reflection and then the one SciPy's branch
-    needs; a shrink asks for the n moved vertices.
+    coefficients, sorts and stopping tests.  It yields lists of points
+    (p lists of n floats), is sent their objective values, and returns the
+    minimum and the iteration count.  With ``speculate`` an iteration asks
+    for all four trial points (reflection, expansion, outside and inside
+    contraction) at once, else for the reflection and then the one SciPy's
+    branch needs; a shrink asks for the n moved vertices.
+
+    The simplex has n <= 3 coordinates, so it is kept in Python floats:
+    each coordinate takes SciPy's operations in SciPy's order (its centroid
+    ``np.add.reduce`` over axis 0 adds the rows one after another), which
+    IEEE arithmetic rounds the same in either.  Sorts stay ``np.argsort``,
+    so tied values keep SciPy's order.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5  # SciPy's names
+    x0 = [float(v) for v in x0]
     n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for j in range(n):
-        y = np.array(x0, copy=True)
-        y[j] = (1 + 0.05) * y[j] if y[j] != 0 else 0.00025
-        sim[j + 1] = y
-    fsim = np.array((yield sim), dtype=float)
+    sim = [x0] + [x0[:j] + [(1 + 0.05) * x0[j] if x0[j] != 0 else 0.00025]
+                  + x0[j + 1:] for j in range(n)]
+    fsim = list((yield sim))
     for _ in range(2):  # SciPy sorts twice before its first iteration
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        sim, fsim = _sorted_simplex(sim, fsim)
     iterations = 1
     while iterations < maxiter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= POLISH_XATOL
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= POLISH_FATOL):
+        best, fbest = sim[0], fsim[0]
+        if (max(abs(v - w) for x in sim[1:] for v, w in zip(x, best))
+                <= POLISH_XATOL
+                and max(abs(fbest - f) for f in fsim[1:]) <= POLISH_FATOL):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        trials = np.stack([(1 + rho) * xbar - rho * sim[-1],
-                           (1 + rho * chi) * xbar - rho * chi * sim[-1],
-                           (1 + psi * rho) * xbar - psi * rho * sim[-1],
-                           (1 - psi) * xbar + psi * sim[-1]])
+        xbar = list(sim[0])
+        for x in sim[1:-1]:
+            xbar = [m + v for m, v in zip(xbar, x)]
+        xbar = [m / n for m in xbar]
+        worst = sim[-1]
+        trials = [[(1 + rho) * m - rho * w for m, w in zip(xbar, worst)],
+                  [(1 + rho * chi) * m - rho * chi * w
+                   for m, w in zip(xbar, worst)],
+                  [(1 + psi * rho) * m - psi * rho * w
+                   for m, w in zip(xbar, worst)],
+                  [(1 - psi) * m + psi * w for m, w in zip(xbar, worst)]]
         known = list((yield trials)) if speculate else [None] * 4
         xr, xe, xc, xcc = trials
         fxr = yield from _trial_value(known, trials, 0)
@@ -395,16 +470,21 @@ def _nelder_mead(x0: np.ndarray, maxiter: int, speculate: bool):
             else:
                 shrink = True
         if shrink:
-            for j in range(1, n + 1):
-                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-            fsim[1:] = (yield sim[1:])
+            sim[1:] = [[b + sigma * (v - b) for v, b in zip(x, best)]
+                       for x in sim[1:]]
+            fsim[1:] = list((yield sim[1:]))
         iterations += 1
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return float(np.min(fsim)), iterations
+        sim, fsim = _sorted_simplex(sim, fsim)
+    return min(fsim), iterations
 
 
-def _trial_value(known: list, trials: np.ndarray, i: int):
+def _sorted_simplex(sim: list, fsim: list) -> tuple[list, list]:
+    """Vertices and values in ``np.argsort`` order of the values."""
+    ind = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in ind], [fsim[i] for i in ind]
+
+
+def _trial_value(known: list, trials: list, i: int):
     """Trial point i's value: speculated already, or asked for now."""
     if known[i] is None:
         (known[i],) = yield trials[i:i + 1]
@@ -423,19 +503,55 @@ def _lockstep_polish(blocks: BlockEvaluator, starts: np.ndarray,
     """
     speculate = blocks.m_d <= SPECULATE_MAX_BLOCK
     runs = [_nelder_mead(x0, maxiter, speculate)
-            for x0 in np.asarray(starts, float)]
+            for x0 in np.asarray(starts, float).tolist()]
     pending = {i: next(run) for i, run in enumerate(runs)}
     best = np.empty(len(runs))
     while pending:
-        values = _negated_radii(blocks, np.concatenate(list(pending.values())))
-        cuts = np.cumsum([len(points) for points in pending.values()])[:-1]
-        for i, f in zip(list(pending), np.split(values, cuts)):
+        values = _negated_radii(blocks, [x for points in pending.values()
+                                         for x in points]).tolist()
+        for i, points in list(pending.items()):
+            f, values = values[:len(points)], values[len(points):]
             try:
                 pending[i] = runs[i].send(f)
             except StopIteration as done:
                 best[i] = -done.value[0]
                 del pending[i]
     return best
+
+
+class _LowSweep:
+    """The offset low lattice of one configuration, with the smoother-free
+    part of its blocks (in batches of ``batch_rows``), for any smoother."""
+
+    def __init__(self, blocks: BlockEvaluator):
+        cfg = blocks.cfg
+        self.lows, _ = sample_frequencies(cfg.stencil.geometry, cfg.k,
+                                          cfg.sampling)
+        step = blocks.batch_rows
+        self.batches = []
+        for i in range(0, len(self.lows), step):
+            block = blocks.block(self.lows[i:i + step])
+            self.batches.append((block, blocks.symmetric_form(block)))
+
+    def radii(self, blocks: BlockEvaluator) -> np.ndarray:
+        """Block radii at every lattice point, with ``blocks``' smoother."""
+        return np.concatenate([
+            blocks.block_radii(replace(block, smoother_symbols=(
+                blocks.smoother_symbols(block.fine_symbols))), form)
+            for block, form in self.batches])
+
+
+def _swept_rho(blocks: BlockEvaluator, sweep: _LowSweep, polish: bool,
+               candidates: int, polish_maxiter: int) -> float:
+    """``rho_two_grid`` on a lattice whose smoother-free part is known."""
+    radii = sweep.radii(blocks)
+    rho = float(np.max(radii))
+    if polish:
+        order = np.argsort(radii)[::-1][:candidates]
+        for value in _lockstep_polish(blocks, sweep.lows[order],
+                                      polish_maxiter):
+            rho = max(rho, value)
+    return rho
 
 
 def rho_two_grid(cfg: TwoGridConfig, polish: bool = True, candidates: int = 3,
@@ -448,29 +564,28 @@ def rho_two_grid(cfg: TwoGridConfig, polish: bool = True, candidates: int = 3,
     lattice-resolution bias.
     """
     blocks = BlockEvaluator(cfg)
-    lows, _ = sample_frequencies(cfg.stencil.geometry, cfg.k, cfg.sampling)
-    radii = blocks.radii(lows)
-    rho = float(np.max(radii))
-    if polish:
-        order = np.argsort(radii)[::-1][:candidates]
-        for value in _lockstep_polish(blocks, lows[order], polish_maxiter):
-            rho = max(rho, value)
-    return rho
+    return _swept_rho(blocks, _LowSweep(blocks), polish, candidates,
+                      polish_maxiter)
 
 
 def optimal_lambda0_two_grid(cfg: TwoGridConfig
                              ) -> tuple[float, float, bool]:
     """lambda0 minimizing the two-grid factor, by golden-section search.
 
-    Seeded at the LFA eigenvalue bound; the bracket is grown geometrically
-    around the seed first.  If no descent bracket emerges (non-unimodal
-    scan), falls back to the best point of a uniform scan and flags it in
-    the returned tuple (lambda0, rho, used_fallback).
+    Seeded at the LFA eigenvalue bound (at least 1e-6 lambda1); the bracket
+    is grown geometrically around the seed first.  If no descent bracket
+    emerges (non-unimodal scan), falls back to the best point of a uniform
+    scan of [1e-6 lambda1, lambda1) and flags it in the returned tuple
+    (lambda0, rho, used_fallback).  The lattice's smoother-free block
+    symbols are computed once per call and shared by every evaluation.
     """
     lam1 = cfg.smoother.lambda1
+    floor, cap = 1e-6 * lam1, lam1 * (1 - 1e-9)
     seed, _ = lambda_bounds(cfg.stencil, cfg.preconditioner, cfg.k,
                             cfg.sampling)
-    seed = min(seed, lam1 * 0.5)
+    seed = max(min(seed, lam1 * 0.5), floor)
+    blocks = BlockEvaluator(cfg)
+    sweep = _LowSweep(blocks)
 
     @lru_cache(maxsize=None)
     def rho_at(lam0: float) -> float:
@@ -478,21 +593,20 @@ def optimal_lambda0_two_grid(cfg: TwoGridConfig
         # (kinked as the argmax block jumps) can displace the minimizer; a
         # light polish keeps it smooth at tolerable cost
         spec = cfg.smoother.with_lambda0(lam0)
-        return rho_two_grid(replace(cfg, smoother=spec), candidates=1,
-                            polish_maxiter=60)
+        return _swept_rho(blocks.with_smoother(spec), sweep, True, 1, 60)
 
-    lo, hi = seed / 8.0, min(lam1 * (1 - 1e-9), seed * 8.0)
+    lo, hi = seed / 8.0, min(cap, seed * 8.0)
     f_seed = rho_at(seed)
     grow = 0
-    while rho_at(lo) <= f_seed and lo > 1e-6 * lam1 and grow < 8:
+    while rho_at(lo) <= f_seed and lo > floor and grow < 8:
         lo /= 4.0
         grow += 1
     grow = 0
-    while rho_at(hi) <= f_seed and hi < lam1 * (1 - 1e-9) and grow < 8:
-        hi = min(lam1 * (1 - 1e-9), hi * 2.0)
+    while rho_at(hi) <= f_seed and hi < cap and grow < 8:
+        hi = min(cap, hi * 2.0)
         grow += 1
     if rho_at(lo) <= f_seed or rho_at(hi) <= f_seed:
-        grid = np.linspace(max(lo, 1e-6 * lam1), hi, LAMBDA0_SCAN_POINTS)
+        grid = np.linspace(floor, cap, LAMBDA0_SCAN_POINTS)
         values = [rho_at(g) for g in grid]
         i = int(np.argmin(values))
         best = float(grid[i])

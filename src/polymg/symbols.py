@@ -152,9 +152,25 @@ def _lattice_x(stencil: Stencil, kind: str,
 def high_closure_values(stencil: Stencil, kind: str,
                         sampling: FrequencySampling, k: int) -> np.ndarray:
     """Sorted distinct X~ over the high closure of the lattice (read-only)."""
-    x, _ = _lattice_x(stencil, kind, sampling)  # first: one lattice at a time
-    theta = frequency_lattice(stencil.geometry, sampling)
-    return read_only(np.unique(x[high_closure_mask(k, theta)]))
+    x, _ = _lattice_x(stencil, kind, sampling)
+    mask = lattice_high_closure(stencil.geometry.dimension,
+                                sampling.samples_per_axis, k)
+    return read_only(np.unique(x[mask]))
+
+
+def lattice_high_closure(dimension: int, n: int, k: int) -> np.ndarray:
+    """``high_closure_mask`` over the inclusive lattice, from its ticks.
+
+    A point's largest |theta_i| reaches the threshold exactly when one of
+    its coordinates does, so the mask is the union over the axes of each
+    axis's ticks' test, broadcast without building the lattice.
+    """
+    ticks = _lattice(1, n, 1.0)
+    high = high_closure_mask(k, ticks)
+    mask = np.zeros((n,) * dimension, dtype=bool)
+    for axis in range(dimension):
+        mask |= high.reshape((n,) + (1,) * (dimension - 1 - axis))
+    return mask.ravel()
 
 
 def low_frequency_mask(k: int, theta: np.ndarray) -> np.ndarray:

@@ -318,6 +318,13 @@ LOW_PEAK_STENCIL = {"geometry": {"kind": "rectangular", "h": [1.0, 1.0]},
                     + [{"offset": list(o), "coefficient": 0.25}
                        for o in ((1, 0), (-1, 0), (0, 1), (0, -1))]}
 
+#: the 5-point Laplacian along the diagonals: X~ = 1 - cos t1 cos t2
+#: vanishes at the high frequency (pi, pi), so the LFA lambda0 is 0
+DIAGONAL_STENCIL = {"geometry": {"kind": "rectangular", "h": [1.0, 1.0]},
+                    "entries": [{"offset": [0, 0], "coefficient": 4.0}]
+                    + [{"offset": list(o), "coefficient": -1.0}
+                       for o in ((1, 1), (-1, -1), (1, -1), (-1, 1))]}
+
 
 def assemble_fd_matrix(n: int, dimension: int) -> np.ndarray:
     """Dense Dirichlet FD Laplacian on the unit domain via 1D Kronecker sums."""
@@ -547,3 +554,62 @@ def scipy_polish_rho(blocks, theta0, maxiter: int) -> tuple[float, int]:
     res = minimize(neg, theta0, method="Nelder-Mead",
                    options={"xatol": 1e-8, "fatol": 1e-11, "maxiter": maxiter})
     return -res.fun, res.nit
+
+
+# ---------------------------------------------------------------------------
+# the two-grid lambda0 search with one full rho_two_grid call per lambda0;
+# it shares the block radii and checks what the search shares between its
+# evaluations
+# ---------------------------------------------------------------------------
+
+def per_call_lambda0_two_grid(cfg) -> tuple[float, float, bool]:
+    """``optimal_lambda0_two_grid``'s golden-section search, each lambda0
+    evaluated by its own ``rho_two_grid`` call (one polish start, 60
+    iterations): (lambda0, rho, used_fallback)."""
+    from dataclasses import replace
+    from functools import lru_cache
+
+    from polymg.lfa import LAMBDA0_SCAN_POINTS, LAMBDA0_TOL, rho_two_grid
+    from polymg.symbols import lambda_bounds
+
+    lam1 = cfg.smoother.lambda1
+    floor, cap = 1e-6 * lam1, lam1 * (1 - 1e-9)
+    seed, _ = lambda_bounds(cfg.stencil, cfg.preconditioner, cfg.k,
+                            cfg.sampling)
+    seed = max(min(seed, lam1 * 0.5), floor)
+
+    def with_lambda0(lam0):
+        return replace(cfg, smoother=cfg.smoother.with_lambda0(lam0))
+
+    @lru_cache(maxsize=None)
+    def rho_at(lam0):
+        return rho_two_grid(with_lambda0(lam0), candidates=1,
+                            polish_maxiter=60)
+
+    lo, hi = seed / 8.0, min(cap, seed * 8.0)
+    f_seed = rho_at(seed)
+    grow = 0
+    while rho_at(lo) <= f_seed and lo > floor and grow < 8:
+        lo, grow = lo / 4.0, grow + 1
+    grow = 0
+    while rho_at(hi) <= f_seed and hi < cap and grow < 8:
+        hi, grow = min(cap, hi * 2.0), grow + 1
+    if rho_at(lo) <= f_seed or rho_at(hi) <= f_seed:
+        grid = np.linspace(floor, cap, LAMBDA0_SCAN_POINTS)
+        best = float(grid[int(np.argmin([rho_at(g) for g in grid]))])
+        return best, rho_two_grid(with_lambda0(best)), True
+    invphi = (np.sqrt(5.0) - 1) / 2
+    a, b = lo, hi
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = rho_at(c), rho_at(d)
+    while b - a > LAMBDA0_TOL:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = rho_at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = rho_at(d)
+    best = float(0.5 * (a + b))
+    return best, rho_two_grid(with_lambda0(best)), False

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from polymg import Stencil, build_fem_tri_laplace, cli, reproduce_table
 from polymg.cli import main
 
-from oracles import LOW_PEAK_STENCIL, Q1_STENCIL
+from oracles import DIAGONAL_STENCIL, LOW_PEAK_STENCIL, Q1_STENCIL
 
 
 def run_cli(capsys, *argv):
@@ -330,6 +330,23 @@ def test_stencil_file_maximum_off_the_high_range(tmp_path, capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert "not attained on the high range" in json.loads(err)["message"]
+
+
+def test_optimize_twogrid_from_a_zero_lambda0(tmp_path, capsys):
+    # the bracket cannot grow from a zero seed; the fallback scan covers
+    # [1e-6 lambda1, lambda1) and finds the minimum near 0.03
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps(DIAGONAL_STENCIL))
+    code, out, err = run_cli(
+        capsys, "optimize", "--objective", "twogrid", "--family", "cheb",
+        "--degree", "2", "--k", "1", "--samples", "16",
+        "--stencil-file", str(path))
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["lambda0_auto"] == 0.0
+    assert report["used_scan_fallback"]
+    assert report["lambda0"] == pytest.approx(0.0302, abs=1e-3)
+    assert report["rho_lfa"] == pytest.approx(0.7771, abs=1e-3)
 
 
 def test_missing_stencil_flag(capsys):

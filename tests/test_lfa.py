@@ -17,11 +17,13 @@ from polymg.lfa import (BlockEvaluator, coarse_correction_matrix,
                         two_grid_block)
 from polymg.smallmat import spectral_radii
 from polymg.symbols import fourier_sum
-from polymg.tables import SMOOTHING_DEGREES, TRI_DEGREES, TRI_PRESETS
+from polymg.tables import (LAMBDA1_2D, LAMBDA1_ISOSCELES, SMOOTHING_DEGREES,
+                           TRI_DEGREES, TRI_PRESETS)
 
 from oracles import (Q1_STENCIL, bilinear_weight_stencil,
-                     full_sweep_smoothing_factor, scipy_polish_rho,
-                     transfer_nodal_table, two_polish_lambda_bounds)
+                     full_sweep_smoothing_factor, per_call_lambda0_two_grid,
+                     scipy_polish_rho, transfer_nodal_table,
+                     two_polish_lambda_bounds)
 
 FD2 = build_fd_laplace(rectangular(1.0, 2))
 FD3 = build_fd_laplace(rectangular(1.0, 3))
@@ -455,7 +457,14 @@ def test_lockstep_polish_matches_scipy(maxiter):
             k=k, coarse_mode=mode, sampling=sampling))
         speculated.add(bool(blocks.m_d <= lfa.SPECULATE_MAX_BLOCK))
         lows, _ = sample_frequencies(stencil.geometry, k, sampling)
-        starts = lows[np.argsort(blocks.radii(lows))[::-1][:3]]
+        # a start next to zero: its first vertices score 0 alike, so the
+        # initial sorts meet tied values
+        tied = np.array([1e-6] + [0.0] * (lows.shape[1] - 1))
+        first = lfa._negated_radii(blocks, next(lfa._nelder_mead(
+            tied, maxiter, False)))
+        assert len(set(first.tolist())) < len(first)
+        starts = np.vstack([lows[np.argsort(blocks.radii(lows))[::-1][:3]],
+                            tied])
         together = lfa._lockstep_polish(blocks, starts, maxiter)
         for x0, value in zip(starts, together):
             want, nit = scipy_polish_rho(blocks, x0, maxiter)
@@ -469,6 +478,49 @@ def test_lockstep_polish_matches_scipy(maxiter):
     # both trial modes ran, and the shrink branch and iteration cap were hit
     assert speculated == {False, True}
     assert stopped > 0 and shrunk > 0
+
+
+def test_all_fast_batch_matches_rows_beside_dense_fallback(monkeypatch):
+    # a batch with no dense row skips the gathers; its values are those
+    # of the same rows gathered out of a mixed batch
+    dense = _count_dense(monkeypatch)
+    blocks, lows = _sweep(FD2, 2, 32, REDISCRETIZED)
+    alone = blocks.block_radii(blocks.block(lows[1:]))
+    mixed = blocks.block(lows)
+    p = mixed.prolongation[0] / blocks.m_d
+    mixed.coarse_symbol[0] = np.sum(p * p * mixed.fine_symbols[0].real) / 1.5
+    together = blocks.block_radii(mixed)
+    assert dense == [1]
+    assert np.array_equal(together[1:], alone)
+    # a polish batch with a point at zero scores the live points alike
+    live = lows[:3]
+    points = np.vstack([np.zeros((1, 2)), live])
+    assert np.array_equal(lfa._negated_radii(blocks, points)[1:],
+                          lfa._negated_radii(blocks, live))
+
+
+LAMBDA0_SEARCH_CASES = (
+    [(f"fd2d-k{k}-{family}", FD2, k, family, SMOOTHING_DEGREES[2][k],
+      LAMBDA1_2D, REDISCRETIZED)
+     for k in (1, 2, 3) for family in (CHEBYSHEV, BA1X)]
+    + [(f"isosceles-80-k2-{mode}",
+        build_fem_tri_laplace(*TRI_PRESETS["isosceles-80"]), 2, CHEBYSHEV,
+        TRI_DEGREES["isosceles-80"][2], LAMBDA1_ISOSCELES, mode)
+       for mode in (GALERKIN, REDISCRETIZED)])
+
+
+@pytest.mark.parametrize("name,stencil,k,family,degree,lam1,mode",
+                         LAMBDA0_SEARCH_CASES,
+                         ids=[case[0] for case in LAMBDA0_SEARCH_CASES])
+def test_lambda0_search_matches_per_call_search(name, stencil, k, family,
+                                                degree, lam1, mode):
+    # the search shares the lattice's smoother-free blocks between its
+    # evaluations; each value is still that of a lone rho_two_grid call
+    cfg = TwoGridConfig(stencil=stencil,
+                        smoother=SmootherSpec(family, degree, lam1 / 4, lam1),
+                        k=k, coarse_mode=mode,
+                        sampling=FrequencySampling(samples_per_axis=32))
+    assert optimal_lambda0_two_grid(cfg) == per_call_lambda0_two_grid(cfg)
 
 
 def test_gamma_above_one_takes_dense_fallback(monkeypatch):

@@ -12,7 +12,8 @@ from polymg import (BA1X, CHEBYSHEV, GALERKIN, JACOBI, L1_JACOBI,
                     make_grid_level, measure_asymptotic_rate, prolongate,
                     rectangular, restrict, rho_two_grid, triangular)
 from polymg.multigrid import (GridLevel, _apply_polynomial, assemble_matrix,
-                              galerkin_stencil, prolongation_matrix)
+                              factor_coarsest, galerkin_stencil,
+                              prolongation_matrix)
 from polymg.stencils import transfer_table
 from polymg.tables import (DOCUMENTED_DISCREPANCIES, LAMBDA1_EQUILATERAL,
                            LAMBDA1_ISOSCELES, TRI_DEGREES, TRI_PRESETS)
@@ -477,3 +478,33 @@ def test_triangular_two_grid_rate_matches_lfa(case):
                                      stencil=stencil)
     assert all(r <= 1.0 + 1e-9 for r in report.ratios)
     assert report.rate == pytest.approx(lfa, abs=5e-3)
+
+
+#: a non-symmetric (upwinded) 5-point stencil
+UPWIND = Stencil(geometry=FD2_GEOMETRY,
+                 offsets=((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)),
+                 coefficients=(5.0, -1.0, -2.0, -1.0, -1.0))
+
+
+@pytest.mark.parametrize("mode", [REDISCRETIZED, GALERKIN])
+@pytest.mark.parametrize("stencil,dimension,n", [
+    (None, 2, 63), (UPWIND, 2, 63), (None, 3, 15)],
+    ids=["laplace-2d", "upwind-2d", "laplace-3d"])
+def test_coarsest_solve_on_every_coarse_level(stencil, dimension, n, mode):
+    # the symmetric-mode ordering keeps pivoting: each level, made the
+    # coarsest in turn, is solved to rounding, the upwind one included
+    spec = CycleSpec(kind="v", k=1, smoother=CHEB, coarse_mode=mode)
+    depth = len(Multigrid(spec, n, dimension, stencil=stencil).levels)
+    rng = np.random.default_rng(3)
+    for levels in range(2, depth + 1):
+        mg = Multigrid(replace(spec, levels=levels), n, dimension,
+                       stencil=stencil)
+        coarsest = mg.levels[-1]
+        f = rng.standard_normal(coarsest.shape)
+        u = mg._cycle(levels - 1, f, np.zeros_like(f))
+        residual = apply_operator(coarsest, u) - f
+        scale = np.max(np.abs(coarsest.stencil.coefficients))
+        assert (np.max(np.abs(residual))
+                <= 1e-12 * scale * np.max(np.abs(u)) * len(f.ravel())**0.5)
+        x = factor_coarsest(coarsest).solve(f.ravel())
+        assert np.array_equal(x, u.ravel())

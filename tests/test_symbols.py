@@ -11,7 +11,7 @@ from polymg import (FrequencySampling, JACOBI, L1_JACOBI, Stencil,
                     preconditioner_symbol, rectangular, sample_frequencies)
 from polymg import symbols
 from polymg.symbols import (frequency_lattice, high_closure_values,
-                            lattice_symbol)
+                            lattice_high_closure, lattice_symbol)
 from polymg.tables import TRI_PRESETS
 
 from oracles import (LOW_PEAK_STENCIL, naive_symbol, powell_lambda0,
@@ -271,6 +271,16 @@ def test_high_closure_values_are_cached_read_only():
                 preconditioned_symbol(stencil, JACOBI, theta)[mask]))
             assert not values.flags.writeable
             assert high_closure_values(stencil, JACOBI, sampling, k) is values
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+@pytest.mark.parametrize("n", [16, 64])
+def test_high_closure_from_ticks_is_the_lattice_mask(dimension, n):
+    theta = frequency_lattice(rectangular(1.0, dimension),
+                              FrequencySampling(n))
+    for k in (1, 2, 3):
+        assert np.array_equal(lattice_high_closure(dimension, n, k),
+                              symbols.high_closure_mask(k, theta))
 
 
 def test_lambda_bounds_sampling_convergence():
