@@ -49,15 +49,17 @@ product over the batch.
 
 Cost of a round.  A round costs its arithmetic: the symbols of each
 point's 2^{kd} harmonics, the symmetric form and one ``eigvalsh`` per
-point (about 18 us for a 16 x 16 block on one core), plus a fixed
-cost of a few dozen small NumPy calls.  A batch whose every row takes the
-symmetric form and whose every point is live (not at zero) gathers and
-scatters nothing, and the simplex steps run on Python floats.  Within a
-two-grid lambda0 search (``optimal_lambda0_two_grid``) every evaluation
-sweeps the same lattice, so the search computes the smoother-free part
-of its blocks once (fine, prolongation and coarse symbols, u and c of
-the symmetric form); each lambda0 then costs its smoother symbols and
-eigen-solves.  Nothing is kept beyond the call.
+point (about 18 us for a 16 x 16 block on one core).  On small blocks
+the NumPy call count dominates, about a hundred per round whatever the
+number of points (the smoother recurrence alone makes seven per degree).
+A batch whose every row takes the symmetric form and whose every point
+is live (not at zero) gathers and scatters nothing, and the simplex
+steps run on Python floats.  Within a two-grid lambda0 search
+(``optimal_lambda0_two_grid``) every evaluation sweeps the same lattice,
+so the search computes the smoother-free part of its blocks once (fine,
+prolongation and coarse symbols, u and c of the symmetric form); each
+lambda0 then costs its smoother symbols and eigen-solves.  Nothing is
+kept beyond the call.
 """
 
 from __future__ import annotations
@@ -299,11 +301,10 @@ class BlockEvaluator:
                  else norm2 / block.coarse_symbol.real)
         rows = ((norm2 > 0) & (a >= 0).all(axis=-1)
                 & (gamma <= 1.0 + GAMMA_ROUNDING))
-        every = bool(rows.all())
-        take = slice(None) if every else rows
+        take = slice(None) if rows.all() else rows
         u = p[take] * np.sqrt(a[take]) / np.sqrt(norm2[take])[:, None]
         c = 1.0 - np.sqrt(1.0 - np.minimum(gamma[take], 1.0))
-        return SymmetricForm(rows=rows, every=every, u=u, c=c)
+        return SymmetricForm(rows=rows, u=u, c=c)
 
     def block_radii(self, block: HarmonicBlock,
                     form: SymmetricForm | None = None) -> np.ndarray:
@@ -319,7 +320,7 @@ class BlockEvaluator:
         s = block.smoother_symbols
         # non-finite smoother symbols go to the dense path, which rejects them
         fast = form.rows & np.isfinite(s).all(axis=-1)
-        every = form.every and bool(fast.all())
+        every = bool(fast.all())
         take, keep = ((slice(None),) * 2 if every
                       else (fast, fast[form.rows]))
         radii = _symmetric_radii(s[take] ** (self.cfg.nu1 + self.cfg.nu2),
@@ -328,11 +329,10 @@ class BlockEvaluator:
             return radii
         out = np.empty(len(fast))
         out[fast] = radii
-        if not np.all(fast):
-            slow = ~fast
-            rest = HarmonicBlock(**{name: value[slow]
-                                    for name, value in vars(block).items()})
-            out[slow] = spectral_radii(self.dense(rest))
+        slow = ~fast
+        rest = HarmonicBlock(**{name: value[slow]
+                                for name, value in vars(block).items()})
+        out[slow] = spectral_radii(self.dense(rest))
         return out
 
 
@@ -342,12 +342,10 @@ class SymmetricForm:
 
     ``rows`` marks the blocks whose coarse-grid correction has the
     symmetric form (a_i >= 0, a positive norm, gamma within rounding of
-    1 or below); u and c are given for those rows only, and ``every``
-    says whether that is all of them.
+    1 or below); u and c are given for those rows only.
     """
 
     rows: np.ndarray
-    every: bool
     u: np.ndarray
     c: np.ndarray
 
