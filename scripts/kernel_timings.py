@@ -3,7 +3,8 @@
 
 For each configuration (2D n=255 and 3D n=63, k = 1 and k = 3, at the
 table degrees) prints the median milliseconds of one fine-level
-``apply_operator``, one fine-level ``Multigrid.smooth`` and one V-cycle.
+``apply_operator`` and one fine-level ``Multigrid.smooth``, both on padded
+vectors, and of one V-cycle (``Multigrid.cycle``, interior-shaped).
 The smoother is Chebyshev on [0.25, 2]; operator costs do not depend on
 the interval.  Each kernel runs once untimed (the coarsest LU is factored
 on first use), then repeatedly for at least ``--seconds`` and at least
@@ -56,13 +57,14 @@ def kernel_rows(seconds: float = SECONDS):
         spec = CycleSpec(kind=V_CYCLE, k=k, pre=1, post=1,
                          smoother=SmootherSpec(CHEBYSHEV, degree, 0.25, 2.0))
         mg = Multigrid(spec, n, dimension)
-        rng = np.random.default_rng(0)
-        u = rng.standard_normal(mg.shape)
+        fine = mg.levels[0]
+        u = np.random.default_rng(0).standard_normal(mg.shape)
         f = np.zeros(mg.shape)
+        padded_u, padded_f = fine.pad(u), fine.pad(f)
         (apply_ms, faults), (smooth_ms, _), (cycle_ms, _) = [
             median_ms(fn, seconds) for fn in (
-                lambda: apply_operator(mg.levels[0], u),
-                lambda: mg.smooth(0, f, u),
+                lambda: apply_operator(fine, padded_u),
+                lambda: mg.smooth(0, padded_f, padded_u),
                 lambda: mg.cycle(f, u))]
         yield (f"{dimension}D n={n} k={k} deg {degree}",
                apply_ms, smooth_ms, cycle_ms, faults)

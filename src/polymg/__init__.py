@@ -16,8 +16,8 @@ from .lfa import (GALERKIN, REDISCRETIZED, HarmonicBlock, TwoGridConfig,
                   prolongation_symbol, rho_two_grid, smoothing_factor,
                   two_grid_block)
 from .multigrid import (CycleSpec, GridLevel, Multigrid, apply_operator,
-                        apply_smoother, make_grid_level,
-                        measure_asymptotic_rate, prolongate, restrict)
+                        make_grid_level, measure_asymptotic_rate, prolongate,
+                        restrict)
 from .tables import reproduce_table
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "prolongation_symbol", "rho_two_grid", "smoothing_factor",
     "two_grid_block",
     "CycleSpec", "GridLevel", "Multigrid", "apply_operator",
-    "apply_smoother", "make_grid_level", "measure_asymptotic_rate",
-    "prolongate", "restrict",
+    "make_grid_level", "measure_asymptotic_rate", "prolongate", "restrict",
     "reproduce_table",
 ]

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import __version__
-from .lfa import (COARSE_MODES, REDISCRETIZED, TwoGridConfig,
+from .lfa import (COARSE_MODES, LAMBDA0_FLOOR, REDISCRETIZED, TwoGridConfig,
                   optimal_lambda0_two_grid, rho_two_grid, smoothing_factor)
 from .multigrid import CycleSpec, measure_asymptotic_rate
 from .polynomials import (BA1X, CHEBYSHEV, SA, SmootherSpec, min_degree,
@@ -82,8 +82,11 @@ def _resolve_stencil(args) -> Stencil:
     return build_fem_tri_laplace(alpha, beta, args.h)
 
 
-def _resolve_smoother(args, stencil: Stencil, sampling: FrequencySampling
+def _resolve_smoother(args, stencil: Stencil, sampling: FrequencySampling,
+                      lambda0_floor: float = 0.0
                       ) -> tuple[SmootherSpec, dict]:
+    """The smoother the flags ask for, a lambda0 in [0, lambda0_floor
+    lambda1) raised to that floor, and the LFA values it came from."""
     family = FAMILY_ALIASES[args.family]
     lam0_auto, lam1_auto = lambda_bounds(stencil, args.preconditioner,
                                          args.k, sampling)
@@ -102,6 +105,8 @@ def _resolve_smoother(args, stencil: Stencil, sampling: FrequencySampling
         lam0 = optimal_lambda0_smoothing(degree, lam0_auto, lam1)
     else:
         lam0 = float(args.lambda0)
+    if 0.0 <= lam0 < lambda0_floor * lam1:
+        lam0 = lambda0_floor * lam1
     spec = SmootherSpec(family, degree, 0.0 if family == SA else lam0, lam1)
     echo = {"lambda0_auto": lam0_auto, "lambda1_auto": lam1_auto,
             "lambda0_policy": args.lambda0}
@@ -218,7 +223,10 @@ def cmd_optimize(args) -> None:
                "lambda1": args.lambda1_value}, args)
         return
     stencil = _resolve_stencil(args)
-    spec, echo = _resolve_smoother(args, stencil, sampling)
+    # the two-grid search replaces lambda0 and starts at its own floor
+    spec, echo = _resolve_smoother(
+        args, stencil, sampling,
+        LAMBDA0_FLOOR if args.objective == "twogrid" else 0.0)
     if args.objective == "smoothing":
         lam_star = optimal_lambda0_smoothing(spec.degree,
                                              echo["lambda0_auto"],

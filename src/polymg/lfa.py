@@ -94,6 +94,8 @@ BATCH_ENTRIES = 2**22
 LAMBDA0_TOL = 1e-4
 #: uniform-scan points of the two-grid lambda0 search's fallback
 LAMBDA0_SCAN_POINTS = 200
+#: smallest lambda0 of the two-grid search, as a fraction of lambda1
+LAMBDA0_FLOOR = 1e-6
 #: Nelder-Mead stopping tolerances of the rho polish (phase, radius)
 POLISH_XATOL = 1e-8
 POLISH_FATOL = 1e-11
@@ -261,9 +263,11 @@ class BlockEvaluator:
             coarse = fourier_sum(2**cfg.k * theta0[..., None, :],
                                  *self.coarse)[..., 0]
         if np.abs(coarse).min() < SINGULAR_COARSE_TOL * self.diagonal:
+            at = theta0.reshape(-1, theta0.shape[-1])[np.abs(coarse).argmin()]
             raise ValueError(
-                "singular coarse symbol at a base frequency; the sampling "
-                "offset should exclude the zero frequency")
+                f"singular coarse symbol at base phase {at.tolist()}: the "
+                "two-grid factor is unbounded near it (a sampling offset "
+                "should exclude the zero frequency)")
         return HarmonicBlock(
             fine_symbols=fine,
             smoother_symbols=self.smoother_symbols(fine),
@@ -578,7 +582,7 @@ def optimal_lambda0_two_grid(cfg: TwoGridConfig
     symbols are computed once per call and shared by every evaluation.
     """
     lam1 = cfg.smoother.lambda1
-    floor, cap = 1e-6 * lam1, lam1 * (1 - 1e-9)
+    floor, cap = LAMBDA0_FLOOR * lam1, lam1 * (1 - 1e-9)
     seed, _ = lambda_bounds(cfg.stencil, cfg.preconditioner, cfg.k,
                             cfg.sampling)
     seed = max(min(seed, lam1 * 0.5), floor)

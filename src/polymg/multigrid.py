@@ -1,9 +1,9 @@
 """Matrix-free geometric multigrid on the unit square/cube.
 
-Dirichlet boundary, interior-only vectors with 2^p - 1 points per axis
-(lattice coordinates on triangular grids), 2^k coarsening with the nested
-hat of ``stencils.transfer_factors`` that the LFA analyses, one polyphase
-pass per factor; restriction is the adjoint scaled by 2^{-kd}.
+Dirichlet boundary, 2^p - 1 interior points per axis (lattice coordinates
+on triangular grids), 2^k coarsening with the nested hat of
+``stencils.transfer_factors`` that the LFA analyses, one polyphase pass
+per factor; restriction is the adjoint scaled by 2^{-kd}.
 Every level, Galerkin coarse levels included, is a stencil applied
 matrix-free with one multiply per distinct coefficient, which rounds
 differently from the entry-by-entry sum in the last bits; only the
@@ -11,6 +11,20 @@ coarsest is assembled, for its LU.  Smoothers run
 the recurrence of ``polynomials.apply_q`` with X = R0 A, the same code the
 Fourier symbols use, so a degree-m polynomial costs m operator
 applications (m + 1 per smoothing step with its residual).
+
+Inside a cycle, level vectors are padded: C-ordered ``padded_shape``
+arrays (n + 2 per axis) whose one-cell halo is the zero Dirichlet
+boundary.  Flattened, each stencil entry is one fixed offset
+(``GridLevel.plan``), so ``apply_operator`` sums each coefficient group
+over contiguous 1-D slices of the flat range from the first to the last
+interior point, then zeroes the halo points in that range; element-wise
+arithmetic keeps the halo zero, so the smoother recurrence runs as is.
+The range is walked in blocks of ``CHUNK`` = 2^16 points (512 KiB per
+float64 array), sized so that one block's group sum, scratch and output
+stay in a core's 2 MiB L2 cache rather than streaming a 63^3 vector
+through memory once per group; a 255^2 range is one block.  The public
+API (``Multigrid.cycle``, ``a_norm``, ``measure_asymptotic_rate``) keeps
+interior-shaped arrays.
 """
 
 from __future__ import annotations
@@ -18,6 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,6 +48,18 @@ TWO_GRID = "two-grid"
 V_CYCLE = "v"
 W_CYCLE = "w"
 CYCLE_KINDS = (TWO_GRID, V_CYCLE, W_CYCLE)
+#: points per block of ``apply_operator``'s flat range (see the docstring)
+CHUNK = 2**16
+
+
+class FlatPlan(NamedTuple):
+    """Flat range [lo, hi) of the interior, (coefficient, flat offsets) per
+    coefficient group and the halo points in the range."""
+
+    lo: int
+    hi: int
+    terms: tuple[tuple[float, tuple[int, ...]], ...]
+    halo: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -54,14 +81,38 @@ class GridLevel:
     def h(self) -> tuple[float, ...]:
         return self.stencil.geometry.h
 
+    @property
+    def padded_shape(self) -> tuple[int, ...]:
+        return tuple(s + 2 for s in self.shape)
+
+    def pad(self, u: np.ndarray) -> np.ndarray:
+        """An interior-shaped vector in the padded layout (ints as floats)."""
+        if u.shape != self.shape:
+            raise ValueError(f"vector shape {u.shape} != level shape "
+                             f"{self.shape}")
+        p = np.zeros(self.padded_shape, dtype=np.result_type(u, 1.0))
+        self.interior(p)[...] = u
+        return p
+
+    def interior(self, p: np.ndarray) -> np.ndarray:
+        """The interior view of a padded vector."""
+        return p[(slice(1, -1),) * p.ndim]
+
     @cached_property
-    def terms(self) -> tuple[tuple[float, tuple[tuple[slice, ...], ...]], ...]:
-        """(coefficient, haloed-vector slices) per distinct coefficient."""
-        groups: dict[float, list[tuple[slice, ...]]] = {}
+    def plan(self) -> FlatPlan:
+        strides = [int(np.prod(self.padded_shape[i + 1:]))
+                   for i in range(len(self.shape))]
+        lo = sum(strides)
+        hi = sum(n * s for n, s in zip(self.shape, strides)) + 1
+        groups: dict[float, list[int]] = {}
         for offset, c in zip(self.stencil.offsets, self.stencil.coefficients):
-            groups.setdefault(c, []).append(tuple(
-                slice(1 + o, 1 + o + s) for o, s in zip(offset, self.shape)))
-        return tuple((c, tuple(slices)) for c, slices in groups.items())
+            groups.setdefault(c, []).append(
+                sum(o * s for o, s in zip(offset, strides)))
+        terms = tuple((c, tuple(o)) for c, o in groups.items())
+        halo = np.ones(self.padded_shape, dtype=bool)
+        self.interior(halo)[...] = False
+        return FlatPlan(lo, hi, terms,
+                        lo + np.flatnonzero(halo.ravel()[lo:hi]))
 
 
 @dataclass(frozen=True)
@@ -113,27 +164,34 @@ def make_grid_level(n: int, dimension: int,
 
 
 def apply_operator(level: GridLevel, u: np.ndarray) -> np.ndarray:
-    """Matrix-free stencil application with a zero Dirichlet halo; each
-    coefficient group is summed in place, scaled once and added up."""
-    if u.shape != level.shape:
-        raise ValueError(f"vector shape {u.shape} != level shape {level.shape}")
-    padded = np.zeros(tuple(s + 2 for s in u.shape),
-                      dtype=np.result_type(u, 1.0))  # ints give floats
-    padded[(slice(1, -1),) * u.ndim] = u
-    out = scratch = None
-    for c, (first, *rest) in level.terms:
-        if rest:
-            scratch = np.add(padded[first], padded[rest[0]], out=scratch)
-            for sl in rest[1:]:
-                scratch += padded[sl]
-            scratch *= c
-        else:
-            scratch = np.multiply(padded[first], c, out=scratch)
-        if out is None:
-            out, scratch = scratch, None
-        else:
-            out += scratch
-    return out
+    """A u for a padded vector u, padded with a zero halo: per block of the
+    flat range, each coefficient group is summed in place, scaled once and
+    added up."""
+    if u.shape != level.padded_shape:
+        raise ValueError(f"vector shape {u.shape} != padded level shape "
+                         f"{level.padded_shape}")
+    lo, hi, terms, halo = level.plan
+    src = u.astype(np.result_type(u, 1.0), copy=False).ravel()  # ints: floats
+    out = np.empty_like(src)
+    out[:lo] = out[hi:] = 0.0
+    scratch = np.empty(min(CHUNK, hi - lo), dtype=out.dtype)
+    for start in range(lo, hi, CHUNK):
+        stop = min(start + CHUNK, hi)
+        dst, tmp = out[start:stop], scratch[:stop - start]
+        for i, (c, (first, *rest)) in enumerate(terms):
+            acc = tmp if i else dst
+            if rest:
+                np.add(src[start + first:stop + first],
+                       src[start + rest[0]:stop + rest[0]], out=acc)
+                for o in rest[1:]:
+                    acc += src[start + o:stop + o]
+                acc *= c
+            else:
+                np.multiply(src[start + first:stop + first], c, out=acc)
+            if i:
+                dst += tmp
+    out[halo] = 0.0
+    return out.reshape(level.padded_shape)
 
 
 def assemble_matrix(level: GridLevel) -> sp.csr_matrix:
@@ -275,6 +333,7 @@ class Multigrid:
         return self.levels[0].shape
 
     def smooth(self, idx: int, f: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """u + R (f - A u) on padded vectors of level ``idx``."""
         level = self.levels[idx]
         au = apply_operator(level, u)
         out = _apply_polynomial(level, self.spec.smoother,
@@ -284,21 +343,26 @@ class Multigrid:
         return out
 
     def _cycle(self, idx: int, f: np.ndarray, u: np.ndarray) -> np.ndarray:
+        level = self.levels[idx]
         if idx == len(self.levels) - 1:
             if self._lu is None:
-                self._lu = factor_coarsest(self.levels[-1])
-            return self._lu.solve(f.ravel()).reshape(f.shape)
+                self._lu = factor_coarsest(level)
+            x = self._lu.solve(level.interior(f).ravel())
+            return level.pad(x.reshape(level.shape))
         for _ in range(self.spec.pre):
             u = self.smooth(idx, f, u)
-        residual = apply_operator(self.levels[idx], u)
+        residual = apply_operator(level, u)
         np.subtract(f, residual, out=residual)
-        geometry = self.levels[idx].stencil.geometry
-        rc = restrict(residual, self.spec.k, geometry)
+        geometry, coarse = level.stencil.geometry, self.levels[idx + 1]
+        rc = coarse.pad(restrict(level.interior(residual), self.spec.k,
+                                 geometry))
         ec = np.zeros_like(rc)
         passes = 2 if self.spec.kind == W_CYCLE else 1
         for _ in range(passes):
             ec = self._cycle(idx + 1, rc, ec)
-        u = u + prolongate(ec, self.spec.k, geometry)
+        u = u.copy()
+        level.interior(u)[...] += prolongate(coarse.interior(ec),
+                                             self.spec.k, geometry)
         for _ in range(self.spec.post):
             u = self.smooth(idx, f, u)
         return u
@@ -307,11 +371,14 @@ class Multigrid:
         """One multigrid iteration for A u = rhs starting from u0."""
         if rhs.shape != self.shape or u0.shape != self.shape:
             raise ValueError("rhs/u0 shape does not match the fine grid")
-        return self._cycle(0, rhs, u0)
+        fine = self.levels[0]
+        return np.ascontiguousarray(fine.interior(
+            self._cycle(0, fine.pad(rhs), fine.pad(u0))))
 
     def a_norm(self, u: np.ndarray) -> float:
-        au = apply_operator(self.levels[0], u)
-        return float(np.sqrt(np.vdot(u, au).real))
+        fine = self.levels[0]
+        au = fine.interior(apply_operator(fine, fine.pad(u)))
+        return float(np.sqrt(np.vdot(u, np.ascontiguousarray(au)).real))
 
 
 def _apply_polynomial(level: GridLevel, spec: SmootherSpec,
@@ -323,14 +390,6 @@ def _apply_polynomial(level: GridLevel, spec: SmootherSpec,
         return np.divide(np.subtract(r, av, out=av), r0, out=av)
 
     return apply_q(spec, r / r0, residual)
-
-
-def apply_smoother(level: GridLevel, spec: SmootherSpec, preconditioner: str,
-                   r: np.ndarray) -> np.ndarray:
-    """Standalone smoother application R r on one level."""
-    if not is_admissible(spec):
-        raise ValueError("inadmissible smoother spec (max |e| >= 1)")
-    return _apply_polynomial(level, spec, preconditioner, r)
 
 
 @dataclass

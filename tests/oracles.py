@@ -339,6 +339,59 @@ def assemble_fd_matrix(n: int, dimension: int) -> np.ndarray:
             + np.kron(np.kron(eye, eye), one_d))
 
 
+# ---------------------------------------------------------------------------
+# the multigrid operator and smoother on interior-shaped vectors
+# ---------------------------------------------------------------------------
+
+def strided_apply_operator(level, u: np.ndarray) -> np.ndarray:
+    """A u for an interior-shaped u: the kernel before the padded layout.
+
+    Copies u into a zero-haloed array and sums each coefficient group over
+    strided d-dimensional views of it, in the order and with the ufunc
+    calls of ``polymg.multigrid.apply_operator``, so the two compare equal.
+    """
+    groups: dict[float, list[tuple[slice, ...]]] = {}
+    for offset, c in zip(level.stencil.offsets, level.stencil.coefficients):
+        groups.setdefault(c, []).append(tuple(
+            slice(1 + o, 1 + o + s) for o, s in zip(offset, level.shape)))
+    padded = np.zeros(tuple(s + 2 for s in u.shape),
+                      dtype=np.result_type(u, 1.0))
+    padded[(slice(1, -1),) * u.ndim] = u
+    out = scratch = None
+    for c, (first, *rest) in groups.items():
+        if rest:
+            scratch = np.add(padded[first], padded[rest[0]], out=scratch)
+            for sl in rest[1:]:
+                scratch += padded[sl]
+            scratch *= c
+        else:
+            scratch = np.multiply(padded[first], c, out=scratch)
+        if out is None:
+            out, scratch = scratch, None
+        else:
+            out += scratch
+    return out
+
+
+def apply_interior(level, u: np.ndarray) -> np.ndarray:
+    """``apply_operator`` on an interior-shaped vector."""
+    from polymg.multigrid import apply_operator
+
+    return level.interior(apply_operator(level, level.pad(u)))
+
+
+def apply_smoother(level, spec, preconditioner: str,
+                   r: np.ndarray) -> np.ndarray:
+    """The smoother R r of one level on an interior-shaped r."""
+    from polymg.multigrid import _apply_polynomial
+    from polymg.polynomials import is_admissible
+
+    if not is_admissible(spec):
+        raise ValueError("inadmissible smoother spec (max |e| >= 1)")
+    return level.interior(
+        _apply_polynomial(level, spec, preconditioner, level.pad(r)))
+
+
 def bilinear_weight_stencil() -> dict[tuple[int, int], float]:
     """Classical factor-2 bilinear weights (1/4, 1/2, 1 pattern)."""
     base = {-1: 0.5, 0: 1.0, 1: 0.5}

@@ -342,8 +342,7 @@ def test_criterion_9_property_suites(table3, table4, table5):
 
     # smoother eigenbasis oracle on a 7x7 grid
     import scipy.linalg as sla
-    from oracles import assemble_fd_matrix
-    from polymg import apply_smoother
+    from oracles import apply_smoother, assemble_fd_matrix
     level = make_grid_level(7, 2)
     a = assemble_fd_matrix(7, 2)
     d = np.diag(a).copy()

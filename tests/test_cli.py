@@ -349,6 +349,27 @@ def test_optimize_twogrid_from_a_zero_lambda0(tmp_path, capsys):
     assert report["rho_lfa"] == pytest.approx(0.7771, abs=1e-3)
 
 
+def test_optimize_twogrid_ba1x_from_a_zero_lambda0(tmp_path, capsys):
+    # ba1x has no finite kappa at lambda0 = 0, so the seed smoother starts
+    # at the search's floor instead of failing before the search
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps(DIAGONAL_STENCIL))
+    argv = ("optimize", "--objective", "twogrid", "--family", "ba1x",
+            "--degree", "2", "--k", "1", "--samples", "16",
+            "--stencil-file", str(path))
+    code, out, err = run_cli(capsys, *argv, "--coarse", "galerkin")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["lambda0_auto"] == 0.0
+    assert report["lambda0"] > 0.0
+    assert math.isfinite(report["rho_lfa"]) and report["rho_lfa"] < 1.0
+    # the rediscretized coarse symbol of this stencil also vanishes at the
+    # corners of the low box, where the two-grid factor grows without bound
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "singular coarse symbol" in json.loads(err)["message"]
+
+
 def test_missing_stencil_flag(capsys):
     code, _, err = run_cli(capsys, "smoothing-factor", "--family", "cheb",
                            "--degree", "2")

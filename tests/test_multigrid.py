@@ -7,8 +7,8 @@ import scipy.linalg as sla
 
 from polymg import (BA1X, CHEBYSHEV, GALERKIN, JACOBI, L1_JACOBI,
                     REDISCRETIZED, SA, CycleSpec, Multigrid, SmootherSpec,
-                    Stencil, TwoGridConfig, apply_operator, apply_smoother,
-                    build_fd_laplace, build_fem_tri_laplace, lambda_bounds,
+                    Stencil, TwoGridConfig, apply_operator, build_fd_laplace,
+                    build_fem_tri_laplace, lambda_bounds,
                     make_grid_level, measure_asymptotic_rate, prolongate,
                     rectangular, restrict, rho_two_grid, triangular)
 from polymg.multigrid import (GridLevel, _apply_polynomial, assemble_matrix,
@@ -18,10 +18,12 @@ from polymg.stencils import transfer_table
 from polymg.tables import (DOCUMENTED_DISCREPANCIES, LAMBDA1_EQUILATERAL,
                            LAMBDA1_ISOSCELES, TRI_DEGREES, TRI_PRESETS)
 
-from oracles import (Q1_STENCIL, TABLE_DEGREES, assemble_fd_matrix,
+from oracles import (Q1_STENCIL, TABLE_DEGREES, apply_interior,
+                     apply_smoother, assemble_fd_matrix,
                      bilinear_weight_stencil, closed_form_error,
                      galerkin_matrices, separable_prolongate,
-                     separable_prolongation_matrix, separable_restrict)
+                     separable_prolongation_matrix, separable_restrict,
+                     strided_apply_operator)
 
 CHEB = SmootherSpec(CHEBYSHEV, 2, 0.5, 2.0)
 FD2_GEOMETRY = rectangular(1.0, 2)
@@ -30,7 +32,7 @@ EQUILATERAL = triangular(math.pi / 3, math.pi / 3)
 
 def test_apply_operator_zero():
     level = make_grid_level(9, 2)
-    assert np.all(apply_operator(level, np.zeros(level.shape)) == 0.0)
+    assert np.all(apply_operator(level, np.zeros(level.padded_shape)) == 0.0)
 
 
 def test_apply_operator_eigenmodes():
@@ -41,7 +43,7 @@ def test_apply_operator_eigenmodes():
     for (i, j) in [(1, 1), (3, 5), (7, 2)]:
         u = np.outer(np.sin(i * np.pi * x), np.sin(j * np.pi * x))
         lam = (4 - 2 * np.cos(i * np.pi * h) - 2 * np.cos(j * np.pi * h)) / h**2
-        assert np.max(np.abs(apply_operator(level, u) - lam * u)) < 1e-10 * lam
+        assert np.max(np.abs(apply_interior(level, u) - lam * u)) < 1e-10 * lam
 
 
 def _q1_level(n):
@@ -66,20 +68,42 @@ def _anisotropic_level(n):
     pytest.param(3, 5, _galerkin_level, 4, id="galerkin-27"),
     pytest.param(2, 7, _anisotropic_level, 3, id="anisotropic"),
 ])
-def test_apply_operator_matches_dense_assembly(dimension, n, make, groups):
+def test_apply_operator_matches_dense_assembly(dimension, n, make, groups,
+                                               monkeypatch):
     # groups = multiplies per application: one per distinct coefficient
     level = make_grid_level(n, dimension) if make is None else make(n)
-    assert len(level.terms) == groups
+    assert len(level.plan.terms) == groups
     rng = np.random.default_rng(1)
     u = rng.standard_normal(level.shape)
-    got = apply_operator(level, u).ravel()
+    got = apply_interior(level, u).ravel()
     want = assemble_matrix(level) @ u.ravel()
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     if make is None:
         a = assemble_fd_matrix(n, dimension)
         assert np.max(np.abs(got - a @ u.ravel())) < 1e-9 * np.max(np.abs(got))
+    # blocks of any length, their edges on halo points too, give the
+    # strided kernel's values bit for bit and a zero halo
+    import polymg.multigrid as mg_module
+
+    want = strided_apply_operator(level, u)
+    halo = np.ones(level.padded_shape, dtype=bool)
+    level.interior(halo)[...] = False
+    for chunk in (1, 7, 64, mg_module.CHUNK):
+        monkeypatch.setattr(mg_module, "CHUNK", chunk)
+        out = apply_operator(level, level.pad(u))
+        assert np.array_equal(level.interior(out), want), chunk
+        assert np.all(out[halo] == 0.0), chunk
     for dtype, want_dtype in ((np.float32, np.float32), (int, np.float64)):
-        assert apply_operator(level, u.astype(dtype)).dtype == want_dtype
+        padded = level.pad(u).astype(dtype)
+        assert apply_operator(level, padded).dtype == want_dtype
+
+
+def test_apply_operator_rejects_interior_shaped_vectors():
+    level = make_grid_level(7, 2)
+    with pytest.raises(ValueError, match="padded"):
+        apply_operator(level, np.zeros(level.shape))
+    with pytest.raises(ValueError, match="level shape"):
+        level.pad(np.zeros(level.padded_shape))
 
 
 def test_assemble_matrix_consistent_with_apply():
@@ -87,7 +111,7 @@ def test_assemble_matrix_consistent_with_apply():
     a = assemble_matrix(level)
     rng = np.random.default_rng(2)
     u = rng.standard_normal(level.shape)
-    assert np.allclose(a @ u.ravel(), apply_operator(level, u).ravel())
+    assert np.allclose(a @ u.ravel(), apply_interior(level, u).ravel())
 
 
 def test_prolongate_reproduces_multilinear():
@@ -208,7 +232,7 @@ def test_smoother_eigenmode_damping():
         e = np.outer(np.sin(i * np.pi * x), np.sin(j * np.pi * x))
         lam = (4 - 2 * np.cos(i * np.pi * h) - 2 * np.cos(j * np.pi * h)) / h**2
         xtilde = lam * h**2 / 4.0
-        new = e - apply_smoother(level, spec, JACOBI, apply_operator(level, e))
+        new = e - apply_smoother(level, spec, JACOBI, apply_interior(level, e))
         damping = float(error_poly(spec, xtilde))
         assert np.max(np.abs(new - damping * e)) < 1e-8
 
@@ -265,7 +289,7 @@ def test_two_grid_galerkin_projection_smoke():
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal(mg.shape)
     u = mg.cycle(rhs, np.zeros_like(rhs))
-    residual = rhs - apply_operator(mg.levels[0], u)
+    residual = rhs - apply_interior(mg.levels[0], u)
     coarse_part = restrict(residual, 1, FD2_GEOMETRY)
     assert np.max(np.abs(coarse_part)) < 1e-10 * np.max(np.abs(rhs))
 
@@ -279,7 +303,7 @@ def test_v_cycle_symmetry_in_a_inner_product():
     def error_op(e):
         return mg.cycle(zero, e)
 
-    a_apply = lambda u: apply_operator(mg.levels[0], u)
+    a_apply = lambda u: apply_interior(mg.levels[0], u)
     for _ in range(3):
         e1 = rng.standard_normal(mg.shape)
         e2 = rng.standard_normal(mg.shape)
@@ -396,7 +420,8 @@ def test_galerkin_smooth_operator_application_count(monkeypatch):
     rng = np.random.default_rng(10)
     for idx, level in enumerate(mg.levels[:-1]):
         counts["n"] = 0
-        mg.smooth(idx, rng.standard_normal(level.shape), np.zeros(level.shape))
+        mg.smooth(idx, level.pad(rng.standard_normal(level.shape)),
+                  np.zeros(level.padded_shape))
         assert counts["n"] == spec.degree + 1, idx
 
 
@@ -408,7 +433,7 @@ def test_smooth_and_cycle_leave_inputs_unmodified(coarse_mode):
                              coarse_mode=coarse_mode), 15, 2)
     rng = np.random.default_rng(11)
     for idx, level in enumerate(mg.levels[:-1]):
-        f, u = rng.standard_normal((2,) + level.shape)
+        f, u = (level.pad(v) for v in rng.standard_normal((2,) + level.shape))
         f_in, u_in = f.copy(), u.copy()
         got = mg.smooth(idx, f, u)
         assert np.array_equal(f, f_in) and np.array_equal(u, u_in)
@@ -501,10 +526,46 @@ def test_coarsest_solve_on_every_coarse_level(stencil, dimension, n, mode):
                        stencil=stencil)
         coarsest = mg.levels[-1]
         f = rng.standard_normal(coarsest.shape)
-        u = mg._cycle(levels - 1, f, np.zeros_like(f))
-        residual = apply_operator(coarsest, u) - f
+        padded = coarsest.pad(f)
+        u = coarsest.interior(mg._cycle(levels - 1, padded,
+                                        np.zeros_like(padded)))
+        residual = apply_interior(coarsest, u) - f
         scale = np.max(np.abs(coarsest.stencil.coefficients))
         assert (np.max(np.abs(residual))
                 <= 1e-12 * scale * np.max(np.abs(u)) * len(f.ravel())**0.5)
         x = factor_coarsest(coarsest).solve(f.ravel())
         assert np.array_equal(x, u.ravel())
+
+
+#: A-norm ratios 0, 1, 9 and 29 of measure_asymptotic_rate(iterations=30),
+#: as float.hex, computed by the interior-shaped solver before vectors
+#: were padded
+FROZEN_RATIOS = {
+    "v-k3-15^3": (
+        CycleSpec(kind="v", k=3,
+                  smoother=SmootherSpec(CHEBYSHEV, 4, 0.1, 2.0)),
+        15, 3, ("0x1.b1b0db2a5bac8p-6", "0x1.9ebc8d420ef1cp-5",
+                "0x1.96a2ff24205efp-2", "0x1.a04d907610c43p-2")),
+    "w-k2-63^2-galerkin": (
+        CycleSpec(kind="w", k=2, smoother=SmootherSpec(BA1X, 6, 0.146, 2.0),
+                  coarse_mode=GALERKIN),
+        63, 2, ("0x1.029c466ed4e16p-6", "0x1.001d7ffb01fb8p-5",
+                "0x1.74d6063e95566p-5", "0x1.c3e1b202dbc75p-5")),
+    "two-grid-k1-31^2": (
+        CycleSpec(kind="two-grid", k=1, smoother=CHEB, pre=1, post=0),
+        31, 2, ("0x1.e839648b6cda8p-5", "0x1.f1e57fb7a0fc2p-5",
+                "0x1.dc9f90692946ep-4", "0x1.f925d2aaf7b93p-4")),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 61],
+                         ids=["chunk-default", "chunk-61"])
+@pytest.mark.parametrize("case", sorted(FROZEN_RATIOS))
+def test_cycle_ratios_are_bit_identical_to_frozen(case, chunk, monkeypatch):
+    import polymg.multigrid as mg_module
+
+    if chunk is not None:
+        monkeypatch.setattr(mg_module, "CHUNK", chunk)
+    spec, n, dimension, want = FROZEN_RATIOS[case]
+    ratios = measure_asymptotic_rate(spec, n, dimension, iterations=30).ratios
+    assert tuple(ratios[i].hex() for i in (0, 1, 9, 29)) == want
