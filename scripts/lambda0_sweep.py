@@ -2,7 +2,8 @@
 """Sweep the smoothing interval's left end and report mu and rho.
 
 Shows how the smoothing factor and the two-grid factor respond to
-lambda0, and where the min-max and two-grid optima sit.
+lambda0, and where the min-max and two-grid optima sit.  The sweep's rho
+is the unpolished lattice maximum of the block radii.
 
 Usage: python scripts/lambda0_sweep.py --k 2 --degree 6 --family ba1x
 """
@@ -15,8 +16,9 @@ import numpy as np
 from polymg import (JACOBI, REDISCRETIZED, FrequencySampling, SmootherSpec,
                     TwoGridConfig, build_fd_laplace, lambda_bounds,
                     optimal_lambda0_smoothing, optimal_lambda0_two_grid,
-                    rectangular, rho_two_grid, smoothing_factor)
+                    rectangular, sample_frequencies, smoothing_factor)
 from polymg.cli import FAMILY_ALIASES
+from polymg.lfa import BlockEvaluator
 
 
 def main() -> None:
@@ -35,16 +37,18 @@ def main() -> None:
     family = FAMILY_ALIASES[args.family]
     lam0_lfa, lam1 = lambda_bounds(stencil, JACOBI, args.k, sampling)
     lam1 = args.lambda1 or lam1
+    lows, _ = sample_frequencies(stencil.geometry, args.k, sampling)
 
     rows = []
     for lam0 in np.geomspace(lam0_lfa / 4, lam1 / 2, args.points):
         spec = SmootherSpec(family, args.degree, lam0, lam1)
         cfg = TwoGridConfig(stencil=stencil, smoother=spec, k=args.k,
                             coarse_mode=REDISCRETIZED, sampling=sampling)
+        rho = BlockEvaluator(cfg).radii(spec, lows).max()
         rows.append({"lambda0": float(lam0),
                      "mu": smoothing_factor(stencil, spec, args.k,
                                             sampling=sampling),
-                     "rho": rho_two_grid(cfg, polish=False)})
+                     "rho": float(rho)})
         print(f"lambda0={rows[-1]['lambda0']:.4f}  "
               f"mu={rows[-1]['mu']:.4f}  rho={rows[-1]['rho']:.4f}")
 

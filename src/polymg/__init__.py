@@ -11,10 +11,9 @@ from .symbols import (FrequencySampling, JACOBI, L1_JACOBI, evaluate_symbol,
 from .polynomials import (BA1X, CHEBYSHEV, SA, SmootherSpec, error_poly,
                           min_degree, optimal_lambda0_smoothing, q_value)
 from .smallmat import spectral_radius
-from .lfa import (GALERKIN, REDISCRETIZED, HarmonicBlock, TwoGridConfig,
-                  harmonic_frequencies, optimal_lambda0_two_grid,
-                  prolongation_symbol, rho_two_grid, smoothing_factor,
-                  two_grid_block)
+from .lfa import (GALERKIN, REDISCRETIZED, TwoGridConfig, harmonic_frequencies,
+                  optimal_lambda0_two_grid, prolongation_symbol, rho_two_grid,
+                  smoothing_factor, two_grid_block)
 from .multigrid import (CycleSpec, GridLevel, Multigrid, apply_operator,
                         make_grid_level, measure_asymptotic_rate, prolongate,
                         restrict)
@@ -29,7 +28,7 @@ __all__ = [
     "BA1X", "CHEBYSHEV", "SA", "SmootherSpec",
     "error_poly", "min_degree", "optimal_lambda0_smoothing", "q_value",
     "spectral_radius",
-    "GALERKIN", "REDISCRETIZED", "HarmonicBlock", "TwoGridConfig",
+    "GALERKIN", "REDISCRETIZED", "TwoGridConfig",
     "harmonic_frequencies", "optimal_lambda0_two_grid",
     "prolongation_symbol", "rho_two_grid", "smoothing_factor",
     "two_grid_block",

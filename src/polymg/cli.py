@@ -154,10 +154,12 @@ def cmd_smoothing_factor(args) -> None:
     mu = smoothing_factor(stencil, spec, args.k,
                           preconditioner=args.preconditioner,
                           sampling=sampling, iterations=args.iterations)
-    lam_star = None
-    if spec.family != SA:
-        lam_star = optimal_lambda0_smoothing(
-            spec.degree, echo["lambda0_auto"], spec.lambda1)
+    # the min-max optimum is undefined for SA, for a degree-0 smoother
+    # (damped Jacobi) and from a zero LFA lambda0
+    lam0_auto, lam_star = echo["lambda0_auto"], None
+    if spec.family != SA and spec.degree >= 1 and 0 < lam0_auto < spec.lambda1:
+        lam_star = optimal_lambda0_smoothing(spec.degree, lam0_auto,
+                                             spec.lambda1)
     report = {"command": "smoothing-factor", "mu": mu,
               "stencil": stencil.to_dict(), "smoother": spec.to_dict(),
               "k": args.k, "iterations": args.iterations,

@@ -33,19 +33,17 @@ nested FEM is 1 up to rounding, so gamma <= 1 + GAMMA_ROUNDING is clipped
 to 1.  Every other block (gamma above that, a negative a_i) is assembled
 densely and its radius taken by ``smallmat.spectral_radii``.
 
-Polish.  ``rho_two_grid`` refines its best lattice points by Nelder-Mead
-searches that follow SciPy's non-adaptive method step for step, but run
-in lockstep: each round evaluates every unfinished search's pending
-points (its initial simplex, its next trial points or a shrink's moved
-vertices) in one ``BlockEvaluator.radii`` batch, and each search then
-takes the branch SciPy would.  Where blocks are small, an iteration asks
-for all four trial points at once, since a batch then costs little more
-than one point; larger blocks ask for just the points SciPy evaluates.
-This returns SciPy's values exactly because ``radii`` is batch-invariant:
-a point's radius does not depend on the batch it is evaluated in.  Every
-row is computed by its own products and reductions; the coarse symbol,
-for one, is a one-row matvec per point rather than one matrix-vector
-product over the batch.
+Polish.  ``rho_two_grid`` refines its best lattice points by the Nelder-
+Mead searches of ``symbols.lockstep_minimize``, SciPy's non-adaptive
+method step for step, run in lockstep: each round evaluates every
+unfinished search's pending points in one ``BlockEvaluator.radii`` batch.
+Where blocks are small, an iteration asks for all four trial points at
+once, since a batch then costs little more than one point; larger blocks
+ask for just the points SciPy evaluates.  This returns SciPy's values
+exactly because ``radii`` is batch-invariant: a point's radius does not
+depend on the batch it is evaluated in.  Every row is computed by its own
+products and reductions; the coarse symbol, for one, is a one-row matvec
+per point rather than one matrix-vector product over the batch.
 
 Cost of a round.  A round costs its arithmetic: the symbols of each
 point's 2^{kd} harmonics, the symmetric form and one ``eigvalsh`` per
@@ -54,19 +52,18 @@ the NumPy call count dominates, about a hundred per round whatever the
 number of points (the smoother recurrence alone makes seven per degree).
 A batch whose every row takes the symmetric form and whose every point
 is live (not at zero) gathers and scatters nothing, and the simplex
-steps run on Python floats.  Within a two-grid lambda0 search
-(``optimal_lambda0_two_grid``) every evaluation sweeps the same lattice,
-so the search computes the smoother-free part of its blocks once (fine,
-prolongation and coarse symbols, u and c of the symmetric form); each
+steps run on Python floats.  A ``HarmonicBlock`` carries no smoother:
+its symbols and the u and c of its symmetric form are the same for every
+smoother, which ``block_radii`` takes.  So a two-grid lambda0 search
+(``optimal_lambda0_two_grid``) builds its lattice's blocks once, and each
 lambda0 then costs its smoother symbols and eigen-solves.  Nothing is
 kept beyond the call.
 """
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -75,8 +72,8 @@ from .smallmat import spectral_radii
 from .stencils import GridGeometry, Stencil, transfer_factors
 from .symbols import (FrequencySampling, JACOBI, fourier_sum,
                       high_closure_values, lambda_bounds,
-                      preconditioner_symbol, read_only, sample_frequencies,
-                      symbol_terms)
+                      lockstep_minimize, preconditioner_symbol, read_only,
+                      sample_frequencies, symbol_terms)
 
 GALERKIN = "galerkin"
 REDISCRETIZED = "rediscretized"
@@ -131,16 +128,22 @@ class TwoGridConfig:
 
 @dataclass
 class HarmonicBlock:
-    """Coupled groups of 2^{kd} frequencies and their per-harmonic symbols.
+    """Coupled groups of 2^{kd} frequencies: their smoother-free symbols
+    and the smoother-free part of the symmetric form E D E.
 
-    Built for base frequencies of shape (..., d), every field carries the
-    same leading axes; one low frequency gives one group.
+    Built for base frequencies of shape (..., d), the symbols and ``rows``
+    carry the same leading axes; one low frequency gives one group.
+    ``rows`` marks the blocks whose coarse-grid correction has the
+    symmetric form (a_i >= 0, a positive norm, gamma within rounding of 1
+    or below); u and c are given for those rows only.
     """
 
     fine_symbols: np.ndarray         # A~(theta^alpha), complex
-    smoother_symbols: np.ndarray     # e(X~(theta^alpha)), real
     prolongation: np.ndarray         # P~(theta^alpha), real, 2^{kd} at 0
-    coarse_symbol: complex           # A~_{2^k h}(theta^0)
+    coarse_symbol: np.ndarray        # A~_{2^k h}(theta^0), complex
+    rows: np.ndarray
+    u: np.ndarray
+    c: np.ndarray
 
 
 def smoothing_factor(stencil: Stencil, spec: SmootherSpec, k: int,
@@ -223,7 +226,10 @@ class BlockEvaluator:
     Holds what does not depend on the base phase (the stencil terms at both
     mesh widths and the preconditioner scalar; the alias shifts are cached
     per dimension and the transfer directions per geometry), so one
-    evaluator serves a lattice sweep and every polish step after it.
+    evaluator serves a lattice sweep and every polish step after it.  Its
+    blocks carry no smoother: ``block_radii``, ``radii`` and ``dense`` take
+    one, so the blocks of a lattice serve every smoother of a lambda0
+    search.  The configuration's own smoother is not read.
     """
 
     def __init__(self, cfg: TwoGridConfig):
@@ -235,19 +241,13 @@ class BlockEvaluator:
                        symbol_terms(st.with_mesh_width(float(2**cfg.k))))
         self.diagonal = preconditioner_symbol(st, cfg.preconditioner)
 
-    def with_smoother(self, smoother: SmootherSpec) -> BlockEvaluator:
-        """This evaluator for another smoother; the stencil terms are shared."""
-        other = copy(self)
-        other.cfg = replace(self.cfg, smoother=smoother)
-        return other
-
     @property
     def batch_rows(self) -> int:
         """Base frequencies per batch: BATCH_ENTRIES dense block entries."""
         return max(1, BATCH_ENTRIES // int(self.m_d) ** 2)
 
     def block(self, theta0: np.ndarray) -> HarmonicBlock:
-        """Per-harmonic symbols at base phases of shape (..., d)."""
+        """The blocks at base phases of shape (..., d)."""
         cfg = self.cfg
         theta0 = np.asarray(theta0, dtype=float)
         theta = harmonic_frequencies(cfg.k, theta0)
@@ -268,90 +268,75 @@ class BlockEvaluator:
                 f"singular coarse symbol at base phase {at.tolist()}: the "
                 "two-grid factor is unbounded near it (a sampling offset "
                 "should exclude the zero frequency)")
-        return HarmonicBlock(
-            fine_symbols=fine,
-            smoother_symbols=self.smoother_symbols(fine),
-            prolongation=prol,
-            coarse_symbol=coarse,
-        )
+        return self.harmonic_block(fine, prol, coarse)
 
-    def smoother_symbols(self, fine: np.ndarray) -> np.ndarray:
-        """e(X~) of this evaluator's smoother at fine symbols A~."""
-        return error_poly(self.cfg.smoother, fine.real / self.diagonal)
+    def harmonic_block(self, fine: np.ndarray, prolongation: np.ndarray,
+                       coarse: np.ndarray) -> HarmonicBlock:
+        """The blocks of these symbols, with their symmetric form (see the
+        module docstring)."""
+        a = fine.real
+        p = prolongation / self.m_d
+        norm2 = (p * p * a).sum(axis=-1)
+        gamma = (np.ones_like(norm2) if self.cfg.coarse_mode == GALERKIN
+                 else norm2 / coarse.real)
+        rows = ((norm2 > 0) & (a >= 0).all(axis=-1)
+                & (gamma <= 1.0 + GAMMA_ROUNDING))
+        take = ... if rows.all() else rows
+        u = p[take] * np.sqrt(a[take]) / np.sqrt(norm2[take])[..., None]
+        c = 1.0 - np.sqrt(1.0 - np.minimum(gamma[take], 1.0))
+        return HarmonicBlock(fine, prolongation, coarse, rows, u, c)
 
-    def dense(self, block: HarmonicBlock) -> np.ndarray:
+    def batches(self, lows: np.ndarray) -> list[HarmonicBlock]:
+        """The blocks at base frequencies (B, d), ``batch_rows`` at a time."""
+        step = self.batch_rows
+        return [self.block(lows[i:i + step])
+                for i in range(0, len(lows), step)]
+
+    def smoother_symbols(self, smoother: SmootherSpec,
+                         fine: np.ndarray) -> np.ndarray:
+        """e(X~) of ``smoother`` at fine symbols A~."""
+        return error_poly(smoother, fine.real / self.diagonal)
+
+    def dense(self, smoother: SmootherSpec,
+              block: HarmonicBlock) -> np.ndarray:
         """S^{nu2} (I - P A_H^{-1} R A) S^{nu1} as dense complex blocks."""
         cfg = self.cfg
         c = coarse_correction_matrix(block, cfg.k,
                                      cfg.stencil.geometry.dimension)
-        s = block.smoother_symbols
+        s = self.smoother_symbols(smoother, block.fine_symbols)
         return (s**cfg.nu2)[..., :, None] * c * (s**cfg.nu1)[..., None, :]
 
-    def radii(self, lows: np.ndarray) -> np.ndarray:
+    def radii(self, smoother: SmootherSpec, lows: np.ndarray) -> np.ndarray:
         """Block spectral radii at base frequencies of shape (B, d)."""
-        step = self.batch_rows
-        if len(lows) <= step:
-            return self.block_radii(self.block(lows))
-        return np.concatenate([self.block_radii(self.block(lows[i:i + step]))
-                               for i in range(0, len(lows), step)])
+        return np.concatenate([self.block_radii(smoother, block)
+                               for block in self.batches(lows)])
 
-    def symmetric_form(self, block: HarmonicBlock) -> SymmetricForm:
-        """The smoother-free part of the symmetric form of a batch of blocks
-        (leading axis B); see the module docstring."""
-        a = block.fine_symbols.real
-        p = block.prolongation / self.m_d
-        norm2 = (p * p * a).sum(axis=-1)
-        gamma = (np.ones_like(norm2) if self.cfg.coarse_mode == GALERKIN
-                 else norm2 / block.coarse_symbol.real)
-        rows = ((norm2 > 0) & (a >= 0).all(axis=-1)
-                & (gamma <= 1.0 + GAMMA_ROUNDING))
-        take = slice(None) if rows.all() else rows
-        u = p[take] * np.sqrt(a[take]) / np.sqrt(norm2[take])[:, None]
-        c = 1.0 - np.sqrt(1.0 - np.minimum(gamma[take], 1.0))
-        return SymmetricForm(rows=rows, u=u, c=c)
-
-    def block_radii(self, block: HarmonicBlock,
-                    form: SymmetricForm | None = None) -> np.ndarray:
+    def block_radii(self, smoother: SmootherSpec,
+                    block: HarmonicBlock) -> np.ndarray:
         """Spectral radii of a batch of blocks (leading axis B).
 
         Symmetric form E D E where it is valid (see the module docstring),
         ``smallmat.spectral_radii`` of the assembled block everywhere else.
-        ``form`` is the batch's ``symmetric_form`` if it is known already.
         A batch whose every row takes the symmetric form gathers nothing.
         """
-        if form is None:
-            form = self.symmetric_form(block)
-        s = block.smoother_symbols
+        s = self.smoother_symbols(smoother, block.fine_symbols)
         # non-finite smoother symbols go to the dense path, which rejects them
-        fast = form.rows & np.isfinite(s).all(axis=-1)
+        fast = block.rows & np.isfinite(s).all(axis=-1)
         every = bool(fast.all())
         take, keep = ((slice(None),) * 2 if every
-                      else (fast, fast[form.rows]))
+                      else (fast, fast[block.rows]))
         radii = _symmetric_radii(s[take] ** (self.cfg.nu1 + self.cfg.nu2),
-                                 form.u[keep], form.c[keep])
+                                 block.u[keep], block.c[keep])
         if every:
             return radii
         out = np.empty(len(fast))
         out[fast] = radii
         slow = ~fast
-        rest = HarmonicBlock(**{name: value[slow]
-                                for name, value in vars(block).items()})
-        out[slow] = spectral_radii(self.dense(rest))
+        rest = self.harmonic_block(block.fine_symbols[slow],
+                                   block.prolongation[slow],
+                                   block.coarse_symbol[slow])
+        out[slow] = spectral_radii(self.dense(smoother, rest))
         return out
-
-
-@dataclass
-class SymmetricForm:
-    """The smoother-free part of E D E for a batch of blocks.
-
-    ``rows`` marks the blocks whose coarse-grid correction has the
-    symmetric form (a_i >= 0, a positive norm, gamma within rounding of
-    1 or below); u and c are given for those rows only.
-    """
-
-    rows: np.ndarray
-    u: np.ndarray
-    c: np.ndarray
 
 
 def _symmetric_radii(d: np.ndarray, u: np.ndarray,
@@ -386,10 +371,11 @@ def coarse_correction_matrix(block: HarmonicBlock, k: int,
 def two_grid_block(cfg: TwoGridConfig, theta0: np.ndarray) -> np.ndarray:
     """Block symbol S^{nu2} (I - P A_H^{-1} R A) S^{nu1} at one base frequency."""
     blocks = BlockEvaluator(cfg)
-    return blocks.dense(blocks.block(theta0))
+    return blocks.dense(cfg.smoother, blocks.block(theta0))
 
 
-def _negated_radii(blocks: BlockEvaluator, points) -> np.ndarray:
+def _negated_radii(blocks: BlockEvaluator, smoother: SmootherSpec,
+                   points) -> np.ndarray:
     """The polish objective: minus the block radius at points (P, d).
 
     Points are clipped just inside the low box; one within 1e-5
@@ -399,175 +385,49 @@ def _negated_radii(blocks: BlockEvaluator, points) -> np.ndarray:
     t = np.array(points, dtype=float).clip(-b * (1 - 1e-9), b * (1 - 1e-9))
     live = (np.abs(t) / b).max(axis=-1) >= 1e-5
     if live.all():
-        return -blocks.radii(t)
+        return -blocks.radii(smoother, t)
     out = np.zeros(len(t))
     if live.any():
-        out[live] = -blocks.radii(t[live])
+        out[live] = -blocks.radii(smoother, t[live])
     return out
 
 
-def _nelder_mead(x0, maxiter: int, speculate: bool):
-    """SciPy's non-adaptive Nelder-Mead minimization as a coroutine.
-
-    Step for step ``minimize(method="Nelder-Mead")`` with xatol
-    POLISH_XATOL and fatol POLISH_FATOL: the same initial simplex,
-    coefficients, sorts and stopping tests.  It yields lists of points
-    (p lists of n floats), is sent their objective values, and returns the
-    minimum and the iteration count.  With ``speculate`` an iteration asks
-    for all four trial points (reflection, expansion, outside and inside
-    contraction) at once, else for the reflection and then the one SciPy's
-    branch needs; a shrink asks for the n moved vertices.
-
-    The simplex has n <= 3 coordinates, so it is kept in Python floats:
-    each coordinate takes SciPy's operations in SciPy's order (its centroid
-    ``np.add.reduce`` over axis 0 adds the rows one after another), which
-    IEEE arithmetic rounds the same in either.  Sorts stay ``np.argsort``,
-    so tied values keep SciPy's order.
-    """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5  # SciPy's names
-    x0 = [float(v) for v in x0]
-    n = len(x0)
-    sim = [x0] + [x0[:j] + [(1 + 0.05) * x0[j] if x0[j] != 0 else 0.00025]
-                  + x0[j + 1:] for j in range(n)]
-    fsim = list((yield sim))
-    for _ in range(2):  # SciPy sorts twice before its first iteration
-        sim, fsim = _sorted_simplex(sim, fsim)
-    iterations = 1
-    while iterations < maxiter:
-        best, fbest = sim[0], fsim[0]
-        if (max(abs(v - w) for x in sim[1:] for v, w in zip(x, best))
-                <= POLISH_XATOL
-                and max(abs(fbest - f) for f in fsim[1:]) <= POLISH_FATOL):
-            break
-        xbar = list(sim[0])
-        for x in sim[1:-1]:
-            xbar = [m + v for m, v in zip(xbar, x)]
-        xbar = [m / n for m in xbar]
-        worst = sim[-1]
-        trials = [[(1 + rho) * m - rho * w for m, w in zip(xbar, worst)],
-                  [(1 + rho * chi) * m - rho * chi * w
-                   for m, w in zip(xbar, worst)],
-                  [(1 + psi * rho) * m - psi * rho * w
-                   for m, w in zip(xbar, worst)],
-                  [(1 - psi) * m + psi * w for m, w in zip(xbar, worst)]]
-        known = list((yield trials)) if speculate else [None] * 4
-        xr, xe, xc, xcc = trials
-        fxr = yield from _trial_value(known, trials, 0)
-        shrink = False
-        if fxr < fsim[0]:
-            fxe = yield from _trial_value(known, trials, 1)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:
-            fxc = yield from _trial_value(known, trials, 2)
-            if fxc <= fxr:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                shrink = True
-        else:
-            fxcc = yield from _trial_value(known, trials, 3)
-            if fxcc < fsim[-1]:
-                sim[-1], fsim[-1] = xcc, fxcc
-            else:
-                shrink = True
-        if shrink:
-            sim[1:] = [[b + sigma * (v - b) for v, b in zip(x, best)]
-                       for x in sim[1:]]
-            fsim[1:] = list((yield sim[1:]))
-        iterations += 1
-        sim, fsim = _sorted_simplex(sim, fsim)
-    return min(fsim), iterations
+def _lockstep_polish(blocks: BlockEvaluator, smoother: SmootherSpec,
+                     starts: np.ndarray, maxiter: int) -> np.ndarray:
+    """Nelder-Mead maxima of the block radius from each start (S, d), all
+    searches in lockstep (``symbols.lockstep_minimize``); ``radii`` is
+    batch-invariant, so each matches a lone SciPy run exactly.  Trial
+    points are speculated where blocks are small enough that a batch
+    costs little more than one point."""
+    return -lockstep_minimize(partial(_negated_radii, blocks, smoother),
+                              starts, maxiter, POLISH_XATOL, POLISH_FATOL,
+                              blocks.m_d <= SPECULATE_MAX_BLOCK)
 
 
-def _sorted_simplex(sim: list, fsim: list) -> tuple[list, list]:
-    """Vertices and values in ``np.argsort`` order of the values."""
-    ind = np.array(fsim).argsort().tolist()
-    return [sim[i] for i in ind], [fsim[i] for i in ind]
+def _swept_rho(blocks: BlockEvaluator, smoother: SmootherSpec,
+               lows: np.ndarray, batches: list[HarmonicBlock],
+               candidates: int, maxiter: int) -> float:
+    """The largest block radius of ``smoother`` on the lattice ``lows``
+    (whose blocks are ``batches``), polished from its best ``candidates``
+    points by searches of at most ``maxiter`` iterations."""
+    radii = np.concatenate([blocks.block_radii(smoother, block)
+                            for block in batches])
+    order = np.argsort(radii)[::-1][:candidates]
+    return max(float(np.max(radii)),
+               *_lockstep_polish(blocks, smoother, lows[order], maxiter))
 
 
-def _trial_value(known: list, trials: list, i: int):
-    """Trial point i's value: speculated already, or asked for now."""
-    if known[i] is None:
-        (known[i],) = yield trials[i:i + 1]
-    return known[i]
-
-
-def _lockstep_polish(blocks: BlockEvaluator, starts: np.ndarray,
-                     maxiter: int) -> np.ndarray:
-    """Nelder-Mead maxima of the block radius from each start (S, d).
-
-    The searches advance together: every round evaluates each unfinished
-    search's pending points in one ``radii`` batch.  ``radii`` is
-    batch-invariant, so each search matches a lone SciPy run exactly.
-    Trial points are speculated (all four per iteration) where blocks
-    are small enough that a batch costs little more than one point.
-    """
-    speculate = blocks.m_d <= SPECULATE_MAX_BLOCK
-    runs = [_nelder_mead(x0, maxiter, speculate)
-            for x0 in np.asarray(starts, float).tolist()]
-    pending = {i: next(run) for i, run in enumerate(runs)}
-    best = np.empty(len(runs))
-    while pending:
-        values = _negated_radii(blocks, [x for points in pending.values()
-                                         for x in points]).tolist()
-        for i, points in list(pending.items()):
-            f, values = values[:len(points)], values[len(points):]
-            try:
-                pending[i] = runs[i].send(f)
-            except StopIteration as done:
-                best[i] = -done.value[0]
-                del pending[i]
-    return best
-
-
-class _LowSweep:
-    """The offset low lattice of one configuration, with the smoother-free
-    part of its blocks (in batches of ``batch_rows``), for any smoother."""
-
-    def __init__(self, blocks: BlockEvaluator):
-        cfg = blocks.cfg
-        self.lows, _ = sample_frequencies(cfg.stencil.geometry, cfg.k,
-                                          cfg.sampling)
-        step = blocks.batch_rows
-        self.batches = []
-        for i in range(0, len(self.lows), step):
-            block = blocks.block(self.lows[i:i + step])
-            self.batches.append((block, blocks.symmetric_form(block)))
-
-    def radii(self, blocks: BlockEvaluator) -> np.ndarray:
-        """Block radii at every lattice point, with ``blocks``' smoother."""
-        return np.concatenate([
-            blocks.block_radii(replace(block, smoother_symbols=(
-                blocks.smoother_symbols(block.fine_symbols))), form)
-            for block, form in self.batches])
-
-
-def _swept_rho(blocks: BlockEvaluator, sweep: _LowSweep, polish: bool,
-               candidates: int, polish_maxiter: int) -> float:
-    """``rho_two_grid`` on a lattice whose smoother-free part is known."""
-    radii = sweep.radii(blocks)
-    rho = float(np.max(radii))
-    if polish:
-        order = np.argsort(radii)[::-1][:candidates]
-        for value in _lockstep_polish(blocks, sweep.lows[order],
-                                      polish_maxiter):
-            rho = max(rho, value)
-    return rho
-
-
-def rho_two_grid(cfg: TwoGridConfig, polish: bool = True, candidates: int = 3,
-                 polish_maxiter: int = 200) -> float:
+def rho_two_grid(cfg: TwoGridConfig) -> float:
     """LFA two-grid convergence factor: max block spectral radius.
 
-    Sweeps the offset low-frequency lattice; with ``polish`` the sweep
-    maximum is refined by a local search over the base frequency starting
-    from the best ``candidates`` lattice points, which removes most of the
-    lattice-resolution bias.
+    Sweeps the offset low-frequency lattice; the sweep maximum is refined
+    by a local search over the base frequency from the best three lattice
+    points, which removes most of the lattice-resolution bias.
     """
     blocks = BlockEvaluator(cfg)
-    return _swept_rho(blocks, _LowSweep(blocks), polish, candidates,
-                      polish_maxiter)
+    lows, _ = sample_frequencies(cfg.stencil.geometry, cfg.k, cfg.sampling)
+    return _swept_rho(blocks, cfg.smoother, lows, blocks.batches(lows), 3,
+                      200)
 
 
 def optimal_lambda0_two_grid(cfg: TwoGridConfig
@@ -587,15 +447,16 @@ def optimal_lambda0_two_grid(cfg: TwoGridConfig
                             cfg.sampling)
     seed = max(min(seed, lam1 * 0.5), floor)
     blocks = BlockEvaluator(cfg)
-    sweep = _LowSweep(blocks)
+    lows, _ = sample_frequencies(cfg.stencil.geometry, cfg.k, cfg.sampling)
+    batches = blocks.batches(lows)
 
     @lru_cache(maxsize=None)
     def rho_at(lam0: float) -> float:
         # the objective is flat near its minimum, so the lattice max alone
         # (kinked as the argmax block jumps) can displace the minimizer; a
         # light polish keeps it smooth at tolerable cost
-        spec = cfg.smoother.with_lambda0(lam0)
-        return _swept_rho(blocks.with_smoother(spec), sweep, True, 1, 60)
+        return _swept_rho(blocks, cfg.smoother.with_lambda0(lam0), lows,
+                          batches, 1, 60)
 
     lo, hi = seed / 8.0, min(cap, seed * 8.0)
     f_seed = rho_at(seed)

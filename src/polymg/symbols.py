@@ -5,6 +5,15 @@ enters only through the stencil's coefficients; for triangular geometry
 the components are reciprocal-basis phases, so every formula below treats
 both geometries identically.  Coarsening by 2^k declares the centered box
 of half-width pi/2^k "low"; everything else is "high".
+
+Local searches.  Both LFA polishes, lambda1's here and the two-grid
+factor's in ``lfa``, run one Nelder-Mead: SciPy's non-adaptive method step
+for step, as a coroutine (``_nelder_mead``).  ``lockstep_minimize`` drives
+any number of them together, one objective call per round for every
+search's pending points, and returns SciPy's values exactly when the
+objective is batch-invariant: a point's value does not depend on the batch
+it is evaluated in.  The symbol is batch-invariant when each point is
+its own matvec row, as in ``_polish_max`` and ``_face_minima``.
 """
 
 from __future__ import annotations
@@ -13,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .stencils import GridGeometry, Stencil
 
@@ -203,15 +211,134 @@ def sample_frequencies(geometry: GridGeometry, k: int,
 def _polish_max(stencil: Stencil, kind: str, theta0: np.ndarray,
                 k: int | None = None) -> float:
     """Local refinement of max |X~| from a lattice seed (torus); with ``k``,
-    points strictly inside the low box of 2^k coarsening never count."""
-    def neg(t):
-        if k and not high_closure_mask(k, np.pi - np.mod(np.pi - t, 2 * np.pi)):
-            return np.inf
-        return -abs(float(preconditioned_symbol(stencil, kind, t[None])[0]))
+    points strictly inside the low box of 2^k coarsening never count.
+    One Nelder-Mead search, each point its own matvec row."""
+    def negated(points):
+        t = np.array(points)
+        values = -np.abs(preconditioned_symbol(stencil, kind,
+                                               t[:, None, :])[:, 0])
+        if k:
+            wrapped = np.pi - np.mod(np.pi - t, 2 * np.pi)
+            values[~high_closure_mask(k, wrapped)] = np.inf
+        return values
 
-    res = minimize(neg, theta0, method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 2000})
-    return -res.fun
+    return -float(lockstep_minimize(negated, theta0[None], 2000, 1e-12,
+                                    1e-15, False)[0])
+
+
+def lockstep_minimize(objective, starts: np.ndarray, maxiter: int,
+                      xatol: float, fatol: float,
+                      speculate: bool) -> np.ndarray:
+    """Nelder-Mead minima of ``objective`` from each start (S, n).
+
+    The searches advance together: every round passes each unfinished
+    search's pending points, a list of points of n floats each, to one
+    ``objective`` call, which returns their values.  With ``speculate``
+    an iteration asks for all four trial points at once (``_nelder_mead``).
+    """
+    runs = [_nelder_mead(x0, maxiter, xatol, fatol, speculate)
+            for x0 in np.asarray(starts, float).tolist()]
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    best = np.empty(len(runs))
+    while pending:
+        values = np.asarray(objective([x for points in pending.values()
+                                       for x in points])).tolist()
+        for i, points in list(pending.items()):
+            f, values = values[:len(points)], values[len(points):]
+            try:
+                pending[i] = runs[i].send(f)
+            except StopIteration as done:
+                best[i] = done.value[0]
+                del pending[i]
+    return best
+
+
+def _nelder_mead(x0, maxiter: int, xatol: float, fatol: float,
+                 speculate: bool):
+    """SciPy's non-adaptive Nelder-Mead minimization as a coroutine.
+
+    Step for step ``minimize(method="Nelder-Mead")`` with these ``xatol``,
+    ``fatol`` and ``maxiter`` (and no limit on evaluations): the same
+    initial simplex, coefficients, sorts and stopping tests.  It yields
+    lists of points (p lists of n floats), is sent their objective values,
+    and returns the minimum and the iteration count.  With ``speculate`` an
+    iteration asks for all four trial points (reflection, expansion,
+    outside and inside contraction) at once, else for the reflection and
+    then the one SciPy's branch needs; a shrink asks for the n moved
+    vertices.
+
+    The simplex has n <= 3 coordinates, so it is kept in Python floats:
+    each coordinate takes SciPy's operations in SciPy's order (its centroid
+    ``np.add.reduce`` over axis 0 adds the rows one after another), which
+    IEEE arithmetic rounds the same in either.  Sorts stay ``np.argsort``,
+    so tied values keep SciPy's order.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5  # SciPy's names
+    x0 = [float(v) for v in x0]
+    n = len(x0)
+    sim = [x0] + [x0[:j] + [(1 + 0.05) * x0[j] if x0[j] != 0 else 0.00025]
+                  + x0[j + 1:] for j in range(n)]
+    fsim = list((yield sim))
+    for _ in range(2):  # SciPy sorts twice before its first iteration
+        sim, fsim = _sorted_simplex(sim, fsim)
+    iterations = 1
+    while iterations < maxiter:
+        best, fbest = sim[0], fsim[0]
+        if (max(abs(v - w) for x in sim[1:] for v, w in zip(x, best))
+                <= xatol and max(abs(fbest - f) for f in fsim[1:]) <= fatol):
+            break
+        xbar = list(sim[0])
+        for x in sim[1:-1]:
+            xbar = [m + v for m, v in zip(xbar, x)]
+        xbar = [m / n for m in xbar]
+        worst = sim[-1]
+        trials = [[(1 + rho) * m - rho * w for m, w in zip(xbar, worst)],
+                  [(1 + rho * chi) * m - rho * chi * w
+                   for m, w in zip(xbar, worst)],
+                  [(1 + psi * rho) * m - psi * rho * w
+                   for m, w in zip(xbar, worst)],
+                  [(1 - psi) * m + psi * w for m, w in zip(xbar, worst)]]
+        known = list((yield trials)) if speculate else [None] * 4
+        xr, xe, xc, xcc = trials
+        fxr = yield from _trial_value(known, trials, 0)
+        shrink = False
+        if fxr < fsim[0]:
+            fxe = yield from _trial_value(known, trials, 1)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            fxc = yield from _trial_value(known, trials, 2)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            fxcc = yield from _trial_value(known, trials, 3)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            sim[1:] = [[b + sigma * (v - b) for v, b in zip(x, best)]
+                       for x in sim[1:]]
+            fsim[1:] = list((yield sim[1:]))
+        iterations += 1
+        sim, fsim = _sorted_simplex(sim, fsim)
+    return min(fsim), iterations
+
+
+def _sorted_simplex(sim: list, fsim: list) -> tuple[list, list]:
+    """Vertices and values in ``np.argsort`` order of the values."""
+    ind = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in ind], [fsim[i] for i in ind]
+
+
+def _trial_value(known: list, trials: list, i: int):
+    """Trial point i's value: speculated already, or asked for now."""
+    if known[i] is None:
+        (known[i],) = yield trials[i:i + 1]
+    return known[i]
 
 
 @lru_cache(maxsize=4)

@@ -490,8 +490,9 @@ def transfer_nodal_table(geometry, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# the LFA smoothing analysis by full lattice sweeps, with no cached values;
-# these share the symbol and polish routines and check only the caching
+# the LFA smoothing analysis by full lattice sweeps, with no cached values,
+# and the symbol-maximum polish by SciPy's Nelder-Mead; these share the
+# symbol and check the caching and the lockstep search
 # ---------------------------------------------------------------------------
 
 def full_sweep_smoothing_factor(stencil, spec, k: int, preconditioner: str,
@@ -507,21 +508,42 @@ def full_sweep_smoothing_factor(stencil, spec, k: int, preconditioner: str,
     return float(np.max(np.abs(error_poly(spec, x)) ** iterations))
 
 
+def scipy_polish_max(stencil, kind: str, theta0, k: int | None = None
+                     ) -> float:
+    """Local refinement of max |X~| from a lattice seed (torus) by SciPy's
+    Nelder-Mead, one point per call; with ``k``, points strictly inside
+    the low box of 2^k coarsening score +inf."""
+    from scipy.optimize import minimize
+
+    from polymg.symbols import high_closure_mask, preconditioned_symbol
+
+    def neg(t):
+        wrapped = np.pi - np.mod(np.pi - t, 2 * np.pi)
+        if k and not high_closure_mask(k, wrapped):
+            return np.inf
+        return -abs(float(preconditioned_symbol(stencil, kind, t[None])[0]))
+
+    res = minimize(neg, theta0, method="Nelder-Mead",
+                   options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 2000})
+    return -res.fun
+
+
 def two_polish_lambda_bounds(stencil, kind: str, k: int,
                              sampling) -> tuple[float, float]:
     """lambda_bounds polishing lambda1 and the high-range maximum afresh.
 
     Both maxima are refined from their own lattice seeds, unconstrained,
-    on every call; the face seeds are masked from a fresh full lattice,
-    whose faces must be lattice planes.
+    on every call, by SciPy's Nelder-Mead; the face seeds are masked from
+    a fresh full lattice, whose faces must be lattice planes.
     """
-    from polymg.symbols import (_face_minima, _polish_max, frequency_lattice,
+    from polymg.symbols import (_face_minima, frequency_lattice,
                                 high_closure_mask, preconditioned_symbol)
 
     theta = frequency_lattice(stencil.geometry, sampling)
     ax = np.abs(preconditioned_symbol(stencil, kind, theta))
     lam1 = float(np.max(ax))
-    lam1 = max(lam1, _polish_max(stencil, kind, theta[int(np.argmax(ax))]))
+    lam1 = max(lam1, scipy_polish_max(stencil, kind,
+                                      theta[int(np.argmax(ax))]))
 
     hi = high_closure_mask(k, theta)
     theta_hi, ax_hi = theta[hi], ax[hi]
@@ -541,7 +563,7 @@ def two_polish_lambda_bounds(stencil, kind: str, k: int,
         2 * np.pi / sampling.samples_per_axis))))
 
     lam1_high = float(np.max(ax_hi))
-    lam1_high = max(lam1_high, _polish_max(
+    lam1_high = max(lam1_high, scipy_polish_max(
         stencil, kind, theta_hi[int(np.argmax(ax_hi))]))
     if abs(lam1_high - lam1) > 1e-9 * lam1:
         raise ValueError("symbol maximum is not attained on the high range")
@@ -591,9 +613,10 @@ def powell_lambda0(stencil, kind: str, k: int, sampling) -> float:
 # shares the block radii and checks only the lockstep search
 # ---------------------------------------------------------------------------
 
-def scipy_polish_rho(blocks, theta0, maxiter: int) -> tuple[float, int]:
-    """Largest block radius Nelder-Mead finds from ``theta0`` alone, and
-    the iterations it took."""
+def scipy_polish_rho(blocks, smoother, theta0,
+                     maxiter: int) -> tuple[float, int]:
+    """Largest block radius of ``smoother`` Nelder-Mead finds from
+    ``theta0`` alone, and the iterations it took."""
     from scipy.optimize import minimize
 
     b = np.pi / 2**blocks.cfg.k
@@ -602,7 +625,7 @@ def scipy_polish_rho(blocks, theta0, maxiter: int) -> tuple[float, int]:
         t = np.clip(t, -b * (1 - 1e-9), b * (1 - 1e-9))
         if np.max(np.abs(t) / b) < 1e-5:  # singular coarse symbol at zero
             return 0.0
-        return -float(blocks.radii(t[None])[0])
+        return -float(blocks.radii(smoother, t[None])[0])
 
     res = minimize(neg, theta0, method="Nelder-Mead",
                    options={"xatol": 1e-8, "fatol": 1e-11, "maxiter": maxiter})
@@ -617,13 +640,14 @@ def scipy_polish_rho(blocks, theta0, maxiter: int) -> tuple[float, int]:
 
 def per_call_lambda0_two_grid(cfg) -> tuple[float, float, bool]:
     """``optimal_lambda0_two_grid``'s golden-section search, each lambda0
-    evaluated by its own ``rho_two_grid`` call (one polish start, 60
-    iterations): (lambda0, rho, used_fallback)."""
+    evaluated by ``rho_two_grid``'s sweep on blocks of its own (one polish
+    start, 60 iterations): (lambda0, rho, used_fallback)."""
     from dataclasses import replace
     from functools import lru_cache
 
-    from polymg.lfa import LAMBDA0_SCAN_POINTS, LAMBDA0_TOL, rho_two_grid
-    from polymg.symbols import lambda_bounds
+    from polymg.lfa import (LAMBDA0_SCAN_POINTS, LAMBDA0_TOL, BlockEvaluator,
+                            _swept_rho, rho_two_grid)
+    from polymg.symbols import lambda_bounds, sample_frequencies
 
     lam1 = cfg.smoother.lambda1
     floor, cap = 1e-6 * lam1, lam1 * (1 - 1e-9)
@@ -636,8 +660,12 @@ def per_call_lambda0_two_grid(cfg) -> tuple[float, float, bool]:
 
     @lru_cache(maxsize=None)
     def rho_at(lam0):
-        return rho_two_grid(with_lambda0(lam0), candidates=1,
-                            polish_maxiter=60)
+        own = with_lambda0(lam0)
+        blocks = BlockEvaluator(own)
+        lows, _ = sample_frequencies(own.stencil.geometry, own.k,
+                                     own.sampling)
+        return _swept_rho(blocks, own.smoother, lows, blocks.batches(lows),
+                          1, 60)
 
     lo, hi = seed / 8.0, min(cap, seed * 8.0)
     f_seed = rho_at(seed)

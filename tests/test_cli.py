@@ -46,6 +46,37 @@ def test_smoothing_factor_opt_lambda0_3d(capsys):
     assert report["smoother"]["lambda0"] == pytest.approx(0.419, abs=2e-3)
 
 
+def test_smoothing_factor_degree_zero_has_no_optimal_lambda0(capsys):
+    # a degree-0 Chebyshev smoother is damped Jacobi: mu is defined, the
+    # min-max lambda0 is not, unless the user asks for it
+    argv = ("smoothing-factor", "--stencil", "fd2d", "--family", "cheb",
+            "--degree", "0", "--samples", "16")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["lambda0_star"] is None
+    assert 0.0 < report["mu"] < 1.0
+    code, out, err = run_cli(capsys, *argv, "--lambda0", "opt")
+    assert code == 2 and out == ""
+    assert "degree m >= 1" in json.loads(err)["message"]
+
+
+def test_smoothing_factor_zero_lambda0_has_no_optimal_lambda0(tmp_path,
+                                                             capsys):
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps(DIAGONAL_STENCIL))
+    argv = ("smoothing-factor", "--stencil-file", str(path), "--family",
+            "cheb", "--degree", "2", "--samples", "16")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["lambda0_auto"] == 0.0
+    assert report["lambda0_star"] is None
+    code, out, err = run_cli(capsys, *argv, "--lambda0", "opt")
+    assert code == 2 and out == ""
+    assert "0 < lambda0 < lambda1" in json.loads(err)["message"]
+
+
 def test_smoothing_factor_triangular_preset(capsys):
     code, out, _ = run_cli(
         capsys, "smoothing-factor", "--stencil", "tri", "--preset",

@@ -12,7 +12,7 @@ from polymg import (BA1X, CHEBYSHEV, GALERKIN, JACOBI, L1_JACOBI,
                     optimal_lambda0_smoothing, optimal_lambda0_two_grid,
                     prolongation_symbol, rectangular, rho_two_grid,
                     sample_frequencies, smoothing_factor)
-from polymg import Stencil, lfa
+from polymg import Stencil, lfa, symbols
 from polymg.lfa import (BlockEvaluator, coarse_correction_matrix,
                         two_grid_block)
 from polymg.smallmat import spectral_radii
@@ -380,7 +380,7 @@ def test_symmetric_radii_match_dense(name, stencil, k, samples, mode,
     dense = _count_dense(monkeypatch)
     for nu1, nu2 in ((1, 0), (1, 1), (0, 2)):
         blocks, lows = _sweep(stencil, k, samples, mode, nu1, nu2)
-        radii = blocks.radii(lows)
+        radii = blocks.radii(blocks.cfg.smoother, lows)
         want = spectral_radii(np.stack([two_grid_block(blocks.cfg, t)
                                         for t in lows]))
         assert np.max(np.abs(radii - want)) < 1e-12
@@ -389,9 +389,10 @@ def test_symmetric_radii_match_dense(name, stencil, k, samples, mode,
 
 def test_radii_in_batches_match_one_batch(monkeypatch):
     blocks, lows = _sweep(FD2, 2, 32, REDISCRETIZED)
-    whole = blocks.radii(lows)
+    spec = blocks.cfg.smoother
+    whole = blocks.radii(spec, lows)
     monkeypatch.setattr(lfa, "BATCH_ENTRIES", 5 * 16**2)
-    assert np.array_equal(blocks.radii(lows), whole)
+    assert np.array_equal(blocks.radii(spec, lows), whole)
 
 
 #: a reaction term lifts the fine symbol: rediscretized gamma exceeds 1
@@ -412,10 +413,11 @@ def test_radii_are_batch_invariant(name, stencil, k, samples, mode,
     # the polish evaluates each point in whichever batch its round builds
     dense = _count_dense(monkeypatch)
     blocks, lows = _sweep(stencil, k, samples, mode)
-    single = np.array([blocks.radii(lows[i:i + 1])[0]
+    spec = blocks.cfg.smoother
+    single = np.array([blocks.radii(spec, lows[i:i + 1])[0]
                        for i in range(len(lows))])
     for size in (3, 4, 12, len(lows)):
-        batched = np.concatenate([blocks.radii(lows[i:i + size])
+        batched = np.concatenate([blocks.radii(spec, lows[i:i + size])
                                   for i in range(0, len(lows), size)])
         assert np.array_equal(batched, single), size
     if stencil is REACTION and mode == REDISCRETIZED:
@@ -428,11 +430,13 @@ def _search_alone(blocks, x0, maxiter, speculate):
     A shrink asks for its n = 2 or 3 moved vertices at once; every other
     request holds one trial point or all four.
     """
-    run = lfa._nelder_mead(x0, maxiter, speculate)
+    run = symbols._nelder_mead(x0, maxiter, lfa.POLISH_XATOL,
+                               lfa.POLISH_FATOL, speculate)
     points, shrinks = next(run), 0
     try:
         while True:
-            points = run.send(lfa._negated_radii(blocks, points))
+            points = run.send(lfa._negated_radii(blocks, blocks.cfg.smoother,
+                                                 points))
             shrinks += len(points) == len(x0)
     except StopIteration as done:
         value, iterations = done.value
@@ -460,14 +464,15 @@ def test_lockstep_polish_matches_scipy(maxiter):
         # a start next to zero: its first vertices score 0 alike, so the
         # initial sorts meet tied values
         tied = np.array([1e-6] + [0.0] * (lows.shape[1] - 1))
-        first = lfa._negated_radii(blocks, next(lfa._nelder_mead(
-            tied, maxiter, False)))
+        spec = blocks.cfg.smoother
+        first = lfa._negated_radii(blocks, spec, next(symbols._nelder_mead(
+            tied, maxiter, lfa.POLISH_XATOL, lfa.POLISH_FATOL, False)))
         assert len(set(first.tolist())) < len(first)
-        starts = np.vstack([lows[np.argsort(blocks.radii(lows))[::-1][:3]],
-                            tied])
-        together = lfa._lockstep_polish(blocks, starts, maxiter)
+        starts = np.vstack([
+            lows[np.argsort(blocks.radii(spec, lows))[::-1][:3]], tied])
+        together = lfa._lockstep_polish(blocks, spec, starts, maxiter)
         for x0, value in zip(starts, together):
-            want, nit = scipy_polish_rho(blocks, x0, maxiter)
+            want, nit = scipy_polish_rho(blocks, spec, x0, maxiter)
             for speculate in (False, True):
                 alone, iterations, shrinks = _search_alone(
                     blocks, x0, maxiter, speculate)
@@ -485,18 +490,21 @@ def test_all_fast_batch_matches_rows_beside_dense_fallback(monkeypatch):
     # of the same rows gathered out of a mixed batch
     dense = _count_dense(monkeypatch)
     blocks, lows = _sweep(FD2, 2, 32, REDISCRETIZED)
-    alone = blocks.block_radii(blocks.block(lows[1:]))
+    spec = blocks.cfg.smoother
+    alone = blocks.block_radii(spec, blocks.block(lows[1:]))
     mixed = blocks.block(lows)
     p = mixed.prolongation[0] / blocks.m_d
     mixed.coarse_symbol[0] = np.sum(p * p * mixed.fine_symbols[0].real) / 1.5
-    together = blocks.block_radii(mixed)
+    mixed = blocks.harmonic_block(mixed.fine_symbols, mixed.prolongation,
+                                  mixed.coarse_symbol)
+    together = blocks.block_radii(spec, mixed)
     assert dense == [1]
     assert np.array_equal(together[1:], alone)
     # a polish batch with a point at zero scores the live points alike
     live = lows[:3]
     points = np.vstack([np.zeros((1, 2)), live])
-    assert np.array_equal(lfa._negated_radii(blocks, points)[1:],
-                          lfa._negated_radii(blocks, live))
+    assert np.array_equal(lfa._negated_radii(blocks, spec, points)[1:],
+                          lfa._negated_radii(blocks, spec, live))
 
 
 LAMBDA0_SEARCH_CASES = (
@@ -526,18 +534,20 @@ def test_lambda0_search_matches_per_call_search(name, stencil, k, family,
 def test_gamma_above_one_takes_dense_fallback(monkeypatch):
     dense = _count_dense(monkeypatch)
     blocks, lows = _sweep(FD2, 2, 32, REDISCRETIZED)
+    spec = blocks.cfg.smoother
     blk = blocks.block(lows)
     p = blk.prolongation / blocks.m_d
     norm2 = np.sum(p * p * blk.fine_symbols.real, axis=-1)
     raised = np.arange(len(lows)) % 3 == 0
     # gamma = norm2 / a_H = 1.5 on every third block
-    blk.coarse_symbol = np.where(raised, norm2 / 1.5, blk.coarse_symbol)
-    radii = blocks.block_radii(blk)
+    blk = blocks.harmonic_block(blk.fine_symbols, blk.prolongation, np.where(
+        raised, norm2 / 1.5, blk.coarse_symbol))
+    radii = blocks.block_radii(spec, blk)
     assert dense == [np.count_nonzero(raised)]
-    want = spectral_radii(blocks.dense(blk))
+    want = spectral_radii(blocks.dense(spec, blk))
     assert np.max(np.abs(radii - want)) < 1e-12
     assert not np.allclose(radii[raised], spectral_radii(
-        blocks.dense(blocks.block(lows[raised]))))
+        blocks.dense(spec, blocks.block(lows[raised]))))
 
 
 @pytest.mark.parametrize("mode", [GALERKIN, REDISCRETIZED])
@@ -558,7 +568,7 @@ def test_two_grid_refuses_nonsymmetric_stencil(mode):
 def test_zero_order_term_takes_dense_fallback(monkeypatch):
     dense = _count_dense(monkeypatch)
     blocks, lows = _sweep(REACTION, 1, 16, REDISCRETIZED)
-    radii = blocks.radii(lows)
+    radii = blocks.radii(blocks.cfg.smoother, lows)
     assert sum(dense) > 0
     want = spectral_radii(np.stack([two_grid_block(blocks.cfg, t)
                                     for t in lows]))

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from polymg.symbols import (frequency_lattice, high_closure_values,
 from polymg.tables import TRI_PRESETS
 
 from oracles import (LOW_PEAK_STENCIL, naive_symbol, powell_lambda0,
-                     two_polish_lambda_bounds)
+                     scipy_polish_max, two_polish_lambda_bounds)
 
 FD2 = build_fd_laplace(rectangular(1.0, 2))
 FD3 = build_fd_laplace(rectangular(1.0, 3))
@@ -258,6 +261,45 @@ def test_built_in_stencils_reuse_lambda1(name, kind, monkeypatch):
     for k in (1, 2, 3):
         lambda_bounds(BUILT_IN[name], kind, k)
     assert seen == [None]
+
+
+#: the built-in stencils climb away from the low box; the low-peak
+#: stencil's searches with k step into it, where points score +inf
+POLISH_STENCILS = {"fd2d": FD2, "fd3d": FD3,
+                   "anisotropic": build_fd_laplace(rectangular((1.0, 0.5))),
+                   **{name: build_fem_tri_laplace(*angles)
+                      for name, angles in TRI_PRESETS.items()},
+                   "low-peak": Stencil.from_dict(LOW_PEAK_STENCIL)}
+
+
+@pytest.mark.parametrize("kind", [JACOBI, L1_JACOBI])
+@pytest.mark.parametrize("name", list(POLISH_STENCILS))
+def test_polish_max_matches_scipy(name, kind):
+    # one lockstep Nelder-Mead search is SciPy's step for step; seeds are
+    # the two largest and two smallest lattice points over all phases or,
+    # with k, over the high closure
+    stencil = POLISH_STENCILS[name]
+    for n in (8, 16, 32, 64):
+        theta, x = lattice_symbol(stencil, kind, FrequencySampling(n))
+        for k in (None, 1, 2):
+            region = (symbols.high_closure_mask(k, theta) if k
+                      else np.ones(len(theta), dtype=bool))
+            order = np.argsort(np.abs(x[region]))
+            for seed in theta[region][np.r_[order[:2], order[-2:]]]:
+                assert symbols._polish_max(stencil, kind, seed, k) == \
+                    scipy_polish_max(stencil, kind, seed, k)
+
+
+def test_import_leaves_scipy_optimize_out():
+    # the package needs only scipy.sparse; the optimizers are test oracles
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, polymg; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_high_closure_values_are_cached_read_only():
