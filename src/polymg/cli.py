@@ -3,8 +3,9 @@
 Subcommands: smoothing-factor, two-grid, solve, optimize, reproduce.
 Reports are JSON (default) or CSV on stdout or a file; every report
 echoes the fully resolved configuration so it can be rerun without the
-original flags.  Failures exit nonzero with a machine-parsable JSON error
-on stderr.
+original flags; CSV flattens nested objects under dotted keys
+(``rho_lfa.galerkin``) and leaves lists to JSON.  Failures, usage errors
+included, exit 2 with a one-line machine-parsable JSON error on stderr.
 """
 
 from __future__ import annotations
@@ -32,6 +33,16 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argparse without prefix matching, whose usage errors are CliErrors."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message: str):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def _add_stencil_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stencil", choices=["fd2d", "fd3d", "tri"],
                    help="built-in operator (or use --stencil-file)")
@@ -40,7 +51,6 @@ def _add_stencil_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, help="triangular grid angle (radians)")
     p.add_argument("--preset", choices=sorted(TRI_PRESETS),
                    help="named triangular geometry")
-    p.add_argument("--h", type=float, default=1.0, help="mesh width")
 
 
 def _add_smoother_flags(p: argparse.ArgumentParser) -> None:
@@ -70,16 +80,16 @@ def _resolve_stencil(args) -> Stencil:
     if args.stencil is None:
         raise CliError("one of --stencil or --stencil-file is required")
     if args.stencil == "fd2d":
-        return build_fd_laplace(rectangular(args.h, 2))
+        return build_fd_laplace(rectangular(1.0, 2))
     if args.stencil == "fd3d":
-        return build_fd_laplace(rectangular(args.h, 3))
+        return build_fd_laplace(rectangular(1.0, 3))
     if args.preset:
         alpha, beta = TRI_PRESETS[args.preset]
     else:
         if args.alpha is None or args.beta is None:
             raise CliError("triangular stencil needs --alpha/--beta or --preset")
         alpha, beta = args.alpha, args.beta
-    return build_fem_tri_laplace(alpha, beta, args.h)
+    return build_fem_tri_laplace(alpha, beta)
 
 
 def _resolve_smoother(args, stencil: Stencil, sampling: FrequencySampling,
@@ -119,8 +129,7 @@ def _emit(report: dict, args) -> None:
                       allow_nan=False) + "\n"
     if args.format == "csv":
         flat = _flatten(report)
-        text = ",".join(flat) + "\n" + ",".join(
-            _fmt(report, key) for key in flat) + "\n"
+        text = f"{','.join(flat)}\n{','.join(map(_fmt, flat.values()))}\n"
     if args.output:
         with open(args.output, "w") as f:
             f.write(text)
@@ -128,13 +137,20 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _flatten(report: dict) -> list[str]:
-    return [k for k, v in report.items()
-            if isinstance(v, (int, float, str, bool))]
+def _flatten(report: dict, prefix: str = "") -> dict:
+    """The report's scalars and nulls, nested ones under dotted keys."""
+    flat = {}
+    for key, v in report.items():
+        if isinstance(v, dict):
+            flat.update(_flatten(v, f"{prefix}{key}."))
+        elif v is None or isinstance(v, (int, float, str, bool)):
+            flat[prefix + key] = v
+    return flat
 
 
-def _fmt(report: dict, key: str) -> str:
-    v = report[key]
+def _fmt(v) -> str:
+    if v is None:
+        return ""
     return f"{v:.10g}" if isinstance(v, float) else str(v)
 
 
@@ -277,7 +293,7 @@ def cmd_reproduce(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polymg",
         description="polynomial multigrid smoothers and their Fourier analysis")
     parser.add_argument("--version", action="version", version=__version__)
@@ -352,9 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except (CliError, ValueError, OSError, RuntimeError) as err:
         json.dump({"error": type(err).__name__, "message": str(err)},

@@ -5,7 +5,9 @@ reads the mesh width.  Each low phase in (-pi/2^k, pi/2^k]^d couples with
 its 2^{kd}-1 aliases; the two-grid error propagator acts block-diagonally
 on these harmonic groups, so its asymptotic convergence factor is the
 maximum block spectral radius over the sampled low phases.  The coarse
-grid sees the phase 2^k theta.
+grid sees the phase 2^k theta.  The analyses read ``Stencil.normalized()``
+(see ``symbols``).  The rediscretized coarse symbol, of the stencil at mesh
+width 2^k h, is the fine Fourier sum at 2^k theta over 4^k.
 
 Transfer symbols: the prolongation is the inclusion of the 2^k-coarse
 nested piecewise-(multi)linear space, the box spline that
@@ -62,7 +64,7 @@ kept beyond the call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -162,7 +164,7 @@ def smoothing_factor(stencil: Stencil, spec: SmootherSpec, k: int,
         raise ValueError("iterations must be >= 1")
     sampling = sampling or FrequencySampling()
     sampling.validate_ratio(k)
-    x = high_closure_values(stencil, preconditioner, sampling, k)
+    x = high_closure_values(stencil.normalized(), preconditioner, sampling, k)
     return float(np.max(np.abs(error_poly(spec, x)) ** iterations))
 
 
@@ -223,9 +225,9 @@ def _box_directions(geometry: GridGeometry
 class BlockEvaluator:
     """The two-grid blocks of one configuration, for batches of base frequencies.
 
-    Holds what does not depend on the base phase (the stencil terms at both
-    mesh widths and the preconditioner scalar; the alias shifts are cached
-    per dimension and the transfer directions per geometry), so one
+    Holds what does not depend on the base phase (the normalized stencil's
+    terms and preconditioner scalar; the alias shifts are cached per
+    dimension and the transfer directions per geometry), so one
     evaluator serves a lattice sweep and every polish step after it.  Its
     blocks carry no smoother: ``block_radii``, ``radii`` and ``dense`` take
     one, so the blocks of a lattice serve every smoother of a lambda0
@@ -233,12 +235,10 @@ class BlockEvaluator:
     """
 
     def __init__(self, cfg: TwoGridConfig):
-        st = cfg.stencil
+        st = cfg.stencil.normalized()
         self.cfg = cfg
         self.m_d = float(2 ** (cfg.k * st.geometry.dimension))
         self.fine = symbol_terms(st)
-        self.coarse = (None if cfg.coarse_mode == GALERKIN else
-                       symbol_terms(st.with_mesh_width(float(2**cfg.k))))
         self.diagonal = preconditioner_symbol(st, cfg.preconditioner)
 
     @property
@@ -253,15 +253,14 @@ class BlockEvaluator:
         theta = harmonic_frequencies(cfg.k, theta0)
         fine = fourier_sum(theta, *self.fine)
         prol = prolongation_symbol(theta, cfg.k, cfg.stencil.geometry)
-        # Galerkin: conj(p) A p over the harmonics; else the coarse stencil
-        # at the coarse phase 2^k theta0 (exact: a power-of-two scaling)
-        if self.coarse is None:
+        # Galerkin: conj(p) A p over the harmonics; else see the module doc
+        if cfg.coarse_mode == GALERKIN:
             p = prol / self.m_d
             coarse = np.sum(np.conj(p) * fine * p, axis=-1)
         else:
             # one row per matvec, so a point's value is the same in any batch
             coarse = fourier_sum(2**cfg.k * theta0[..., None, :],
-                                 *self.coarse)[..., 0]
+                                 *self.fine)[..., 0] / 4.0**cfg.k
         if np.abs(coarse).min() < SINGULAR_COARSE_TOL * self.diagonal:
             at = theta0.reshape(-1, theta0.shape[-1])[np.abs(coarse).argmin()]
             raise ValueError(
@@ -473,8 +472,8 @@ def optimal_lambda0_two_grid(cfg: TwoGridConfig
         values = [rho_at(g) for g in grid]
         i = int(np.argmin(values))
         best = float(grid[i])
-        spec = cfg.smoother.with_lambda0(best)
-        return best, rho_two_grid(replace(cfg, smoother=spec)), True
+        return best, _swept_rho(blocks, cfg.smoother.with_lambda0(best),
+                                lows, batches, 3, 200), True
 
     invphi = (np.sqrt(5.0) - 1) / 2
     a, b = lo, hi
@@ -490,5 +489,5 @@ def optimal_lambda0_two_grid(cfg: TwoGridConfig
             d = a + invphi * (b - a)
             fd = rho_at(d)
     best = float(0.5 * (a + b))
-    spec = cfg.smoother.with_lambda0(best)
-    return best, rho_two_grid(replace(cfg, smoother=spec)), False
+    return best, _swept_rho(blocks, cfg.smoother.with_lambda0(best), lows,
+                            batches, 3, 200), False

@@ -159,7 +159,7 @@ class Stencil:
         center = self.coefficients[self.offsets.index(zero)]
         if center <= 0:
             raise ValueError("center coefficient must be positive")
-        if not math.isfinite(total / center):
+        if not math.isfinite(4 * (total / center)):  # room to normalize
             raise ValueError("stencil coefficient magnitudes overflow "
                              "relative to the center coefficient")
         for o in self.offsets:
@@ -171,13 +171,13 @@ class Stencil:
         zero = tuple([0] * self.geometry.dimension)
         return self.coefficients[self.offsets.index(zero)]
 
-    @property
-    def offset_array(self) -> np.ndarray:
-        return np.asarray(self.offsets, dtype=float)
-
-    @property
-    def coefficient_array(self) -> np.ndarray:
-        return np.asarray(self.coefficients, dtype=float)
+    def normalized(self) -> "Stencil":
+        """This stencil times the power of four that puts its centre in
+        [1/2, 2): exact in the normal range, and an even power of two so
+        that the square roots of the coefficients scale exactly too."""
+        shift = -2 * (math.frexp(self.center)[1] // 2)
+        return replace(self, coefficients=tuple(
+            math.ldexp(c, shift) for c in self.coefficients))
 
     def is_symmetric(self) -> bool:
         """coefficient at -o equals coefficient at o for every offset."""

@@ -6,6 +6,10 @@ the components are reciprocal-basis phases, so every formula below treats
 both geometries identically.  Coarsening by 2^k declares the centered box
 of half-width pi/2^k "low"; everything else is "high".
 
+Scale.  X~ depends only on ratios of coefficients, so ``lambda_bounds``
+and the ``lfa`` analyses read ``Stencil.normalized()``, whose centre is in
+[1/2, 2): bitwise the same numbers in the normal range.
+
 Local searches.  Both LFA polishes, lambda1's here and the two-grid
 factor's in ``lfa``, run one Nelder-Mead: SciPy's non-adaptive method step
 for step, as a coroutine (``_nelder_mead``).  ``lockstep_minimize`` drives
@@ -51,7 +55,8 @@ def symbol_terms(stencil: Stencil) -> tuple[np.ndarray, np.ndarray]:
 
     The offsets are the stencil's integer lattice offsets, paired with phases.
     """
-    return stencil.offset_array, stencil.coefficient_array.astype(complex)
+    return (np.asarray(stencil.offsets, dtype=float),
+            np.asarray(stencil.coefficients, dtype=complex))
 
 
 def fourier_sum(theta: np.ndarray, offsets: np.ndarray,
@@ -352,31 +357,21 @@ def _lambda1(stencil: Stencil, kind: str,
 
 def _face_seeds(stencil: Stencil, kind: str, k: int,
                 sampling: FrequencySampling) -> tuple[np.ndarray, np.ndarray]:
-    """One seed per low-box face (axis, sign): the point of least |X~| on
-    the exact face theta_axis = sign b whose free coordinates are lattice
-    values in [-b, b].  Returns (seeds (2d, d), axes (2d,)).
-
-    When the face is a lattice plane the values are read from the cached
-    lattice; otherwise every face's free lattice is evaluated in one call.
+    """One seed per low-box face (axis, sign), all faces in one call: the
+    point of least |X~| on the exact face theta_axis = sign b whose free
+    coordinates are lattice values in [-b, b].  Returns (seeds (2d, d),
+    axes (2d,)).
     """
     d = stencil.geometry.dimension
-    n = sampling.samples_per_axis
     b = np.pi / 2**k
-    ticks = _lattice(1, n, 1.0)[:, 0]
+    ticks = _lattice(1, sampling.samples_per_axis, 1.0)[:, 0]
     inside = np.flatnonzero(np.abs(ticks) <= b * (1 + 1e-12))
     free = np.stack(np.meshgrid(*[ticks[inside]] * (d - 1), indexing="ij"),
                     axis=-1).reshape(-1, d - 1)
     faces = [(axis, sign) for axis in range(d) for sign in (-1, 1)]
     points = np.stack([np.insert(free, axis, sign * b, axis=1)
                        for axis, sign in faces])
-    if n % 2**(k + 1) == 0:  # the faces are lattice planes
-        x = _lattice_x(stencil, kind, sampling)[0].reshape((n,) * d)
-        values = np.stack([
-            np.take(x, n // 2 + sign * (n >> (k + 1)) - 1, axis=axis)[
-                np.ix_(*[inside] * (d - 1))].ravel()
-            for axis, sign in faces])
-    else:
-        values = preconditioned_symbol(stencil, kind, points)
+    values = preconditioned_symbol(stencil, kind, points)
     seeds = points[np.arange(len(faces)), np.argmin(np.abs(values), axis=1)]
     return np.clip(seeds, -b, b), np.array([axis for axis, _ in faces])
 
@@ -436,6 +431,7 @@ def lambda_bounds(stencil: Stencil, kind: str, k: int,
     """
     if not stencil.is_symmetric():
         raise ValueError("lambda bounds require a symmetric stencil")
+    stencil = stencil.normalized()
     sampling = sampling or FrequencySampling()
     sampling.validate_ratio(k)
     n, d = sampling.samples_per_axis, stencil.geometry.dimension

@@ -305,18 +305,41 @@ def test_reproduce_table_one(tmp_path, capsys):
     assert "documented_discrepancy" in cells[("k=3", "sa")]
 
 
+def _csv_row(out):
+    """The one data row of a CSV report, by column."""
+    header, values = out.strip().splitlines()
+    return dict(zip(header.split(","), values.split(",")))
+
+
 def test_csv_format_output(capsys):
     code, out, _ = run_cli(
         capsys, "smoothing-factor", "--stencil", "fd2d", "--k", "1",
         "--family", "cheb", "--degree", "2", "--format", "csv")
     assert code == 0
-    header, values = out.strip().splitlines()
-    cols = header.split(",")
-    vals = values.split(",")
-    assert "mu" in cols
-    mu = float(vals[cols.index("mu")])
+    row = _csv_row(out)
+    mu = float(row["mu"])
     assert mu == pytest.approx(0.074, abs=1e-3)
-    assert "." in vals[cols.index("mu")]  # locale-independent decimal point
+    assert "." in row["mu"]  # locale-independent decimal point
+    # nested objects flatten under dotted keys; lists stay JSON-only
+    assert row["smoother.degree"] == "2"
+    assert "stencil.entries" not in row
+    # a null is an empty cell, so the header does not depend on the value
+    code, out, _ = run_cli(
+        capsys, "smoothing-factor", "--stencil", "fd2d", "--k", "1",
+        "--family", "cheb", "--degree", "0", "--format", "csv")
+    assert code == 0
+    degree0 = _csv_row(out)
+    assert degree0.keys() == row.keys()
+    assert degree0["lambda0_star"] == "" and float(row["lambda0_star"]) > 0
+    flags = ("two-grid", "--stencil", "fd2d", "--family", "cheb", "--degree",
+             "2", "--samples", "16")
+    code, out, _ = run_cli(capsys, *flags, "--format", "csv")
+    assert code == 0
+    row = _csv_row(out)
+    code, out, _ = run_cli(capsys, *flags)
+    assert code == 0
+    for mode, rho in json.loads(out)["rho_lfa"].items():
+        assert row[f"rho_lfa.{mode}"] == f"{rho:.10g}"
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -473,14 +496,43 @@ def test_tiny_mesh_width_stencil_file(tmp_path, capsys):
     assert mu[1e-200] == mu[1.0]
 
 
-def test_non_finite_mesh_width_flag(capsys):
-    code, out, err = run_cli(
-        capsys, "smoothing-factor", "--stencil", "fd2d", "--h", "nan",
-        "--family", "cheb", "--degree", "2")
+def test_subnormal_stencil_file_gives_the_unscaled_rho(tmp_path, capsys):
+    # the analysis reads the stencil scaled by a power of four, so subnormal
+    # coefficients keep their precision
+    rho = {}
+    for centre, neighbour in ((4.0, -1.0), (4e-320, -1e-320)):
+        path = tmp_path / f"five-point-{centre}.json"
+        path.write_text(json.dumps(_five_point(centre, neighbour)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "two-grid", "--stencil-file", str(path), "--family",
+                "cheb", "--degree", "2", "--samples", "16")
+        assert code == 0 and err == ""
+        rho[centre] = json.loads(out)["rho_lfa"]
+    for mode, want in rho[4.0].items():
+        assert rho[4e-320][mode] == pytest.approx(want, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("flags", [
+    ("--h", "1"), ("--stencil", "fd4d"), ("--k", "abc"), ("--sten", "fd2d"),
+], ids=["unknown-flag", "bad-choice", "bad-type", "abbreviation"])
+def test_usage_error_is_a_json_error(capsys, flags):
+    argv = ["smoothing-factor", "--stencil", "fd2d", "--family", "cheb",
+            "--degree", "2"]
+    code, out, err = run_cli(capsys, *argv, *flags)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1
-    assert "finite" in json.loads(err)["message"]
+    assert json.loads(err)["error"] == "CliError"
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["two-grid", "--help"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 0
+    assert capsys.readouterr().out
 
 
 JSON_VALUES = st.recursive(

@@ -95,14 +95,25 @@ def _analysis(stencil, k):
               for mode in (GALERKIN, REDISCRETIZED)))
 
 
+def _scaled(stencil, factor):
+    """``stencil`` with every coefficient times ``factor``."""
+    return replace(stencil, coefficients=tuple(
+        c * factor for c in stencil.coefficients))
+
+
 @pytest.mark.parametrize("name", ["fd2d", "fd3d", "q1", "equilateral",
                                   "isosceles-80"])
 def test_lfa_does_not_depend_on_mesh_width(name):
     # phases carry no h: with the coefficients fixed every number is exact,
-    # and so with them scaled by h^-2 = 2^-60, a power of two
+    # and so with them scaled by h^-2 = 2^-60, a power of two, or by 2^+-1000;
+    # the finite-difference coefficients stay exact at 2^-1070, subnormal
     stencil = EXACT_STENCILS[name]
     others = [_at_mesh_width(stencil, w) for w in (1e-200, 1e-3, 1e3)]
     others.append(stencil.with_mesh_width(2.0**30))
+    scales = [2.0**1000, 2.0**-1000]
+    if name in ("fd2d", "fd3d"):
+        scales.append(2.0**-1070)
+    others += [_scaled(stencil, s) for s in scales]
     for k in (1, 2):
         want = _analysis(stencil, k)
         for other in others:

@@ -104,3 +104,29 @@ def test_with_mesh_width_keeps_stencil_entries():
     assert coarse.offsets == offsets
     assert coarse.coefficients == tuple(c / 16 for c in coeffs)
     assert coarse.geometry.h == (2.0, 2.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0, 2.0**-1070, 1e-300, 2.0**1000])
+def test_normalized_is_a_power_of_four(scale):
+    st = build_fem_tri_laplace(math.pi / 3, math.pi / 3)
+    st = Stencil(st.geometry, st.offsets,
+                 tuple(c * scale for c in st.coefficients))
+    norm = st.normalized()
+    assert 0.5 <= norm.center < 2.0
+    assert norm.offsets == st.offsets and norm.geometry == st.geometry
+    (f, e), (f0, e0) = math.frexp(norm.center), math.frexp(st.center)
+    assert f == f0 and (e - e0) % 2 == 0
+    assert norm.coefficients == tuple(math.ldexp(c, e - e0)
+                                      for c in st.coefficients)
+    assert norm.normalized() == norm
+
+
+def test_normalized_cannot_overflow():
+    # a coefficient within a factor 4 of overflow, relative to the centre,
+    # is refused, since the normalized centre may reach 2
+    geometry = rectangular(1.0, 2)
+    offsets = ((0, 0), (1, 0), (-1, 0))
+    with pytest.raises(ValueError, match="relative to the center"):
+        Stencil(geometry, offsets, (1.0, -3e307, -3e307))
+    st = Stencil(geometry, offsets, (1.9e-20, -1e287, -1e287))
+    assert max(map(abs, st.normalized().coefficients)) < 2e307

@@ -177,7 +177,8 @@ def test_face_search_evaluates_every_face_per_round(monkeypatch):
     step = 2 * np.pi / sampling.samples_per_axis
     rounds = len([r for r in range(64) if step / 4**r >= symbols.FACE_XTOL])
     grid = symbols.FACE_GRID**2  # per face: two free axes
-    assert rows == [(6 * grid, 1, 3)] * rounds
+    # one seed call over the 33^2 free lattice points of each of 6 faces
+    assert rows == [(6, 33**2, 3)] + [(6 * grid, 1, 3)] * rounds
 
 
 def test_lambda_bounds_triangular():
