@@ -54,8 +54,8 @@ def _add_stencil_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_smoother_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True,
-                   choices=sorted(FAMILY_ALIASES), help="smoother family")
+    p.add_argument("--family", choices=sorted(FAMILY_ALIASES),
+                   help="smoother family (required, as --degree is)")
     p.add_argument("--degree", type=int, help="approximant degree (required, "
                    "except by optimize --objective degree, which computes it)")
     p.add_argument("--lambda0", default="auto",
@@ -97,6 +97,8 @@ def _resolve_smoother(args, stencil: Stencil, sampling: FrequencySampling,
                       ) -> tuple[SmootherSpec, dict]:
     """The smoother the flags ask for, a lambda0 in [0, lambda0_floor
     lambda1) raised to that floor, and the LFA values it came from."""
+    if args.family is None:
+        raise CliError("--family is required")
     family = FAMILY_ALIASES[args.family]
     lam0_auto, lam1_auto = lambda_bounds(stencil, args.preconditioner,
                                          args.k, sampling)
@@ -235,29 +237,16 @@ def cmd_optimize(args) -> None:
     if args.objective == "degree":
         if args.rho is None or args.kappa is None:
             raise CliError("degree objective needs --rho and --kappa")
-        m = min_degree(args.rho, args.kappa, args.lambda1_value)
-        _emit({"command": "optimize", "objective": "degree", "degree": m,
-               "rho": args.rho, "kappa": args.kappa,
-               "lambda1": args.lambda1_value}, args)
+        if args.lambda1 == "auto":
+            raise CliError("--lambda1 'auto' needs a stencil; give a number")
+        lam1 = float(args.lambda1)
+        _emit({"command": "optimize", "objective": "degree",
+               "degree": min_degree(args.rho, args.kappa, lam1),
+               "rho": args.rho, "kappa": args.kappa, "lambda1": lam1}, args)
         return
     stencil = _resolve_stencil(args)
     # the two-grid search replaces lambda0 and starts at its own floor
-    spec, echo = _resolve_smoother(
-        args, stencil, sampling,
-        LAMBDA0_FLOOR if args.objective == "twogrid" else 0.0)
-    if args.objective == "smoothing":
-        lam_star = optimal_lambda0_smoothing(spec.degree,
-                                             echo["lambda0_auto"],
-                                             spec.lambda1)
-        tuned = spec.with_lambda0(lam_star)
-        mu = smoothing_factor(stencil, tuned, args.k,
-                              preconditioner=args.preconditioner,
-                              sampling=sampling)
-        _emit({"command": "optimize", "objective": "smoothing",
-               "lambda0_star": lam_star, "mu": mu,
-               "stencil": stencil.to_dict(), "smoother": tuned.to_dict(),
-               "k": args.k, "samples_per_axis": args.samples, **echo}, args)
-        return
+    spec, echo = _resolve_smoother(args, stencil, sampling, LAMBDA0_FLOOR)
     cfg = TwoGridConfig(stencil=stencil, smoother=spec, k=args.k,
                         preconditioner=args.preconditioner,
                         nu1=args.nu1, nu2=args.nu2,
@@ -340,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stencil_flags(p)
     _add_smoother_flags(p)
     _add_common_flags(p)
-    p.add_argument("--objective", choices=["smoothing", "twogrid", "degree"],
+    p.add_argument("--objective", choices=["twogrid", "degree"],
                    required=True)
     p.add_argument("--coarse", choices=list(COARSE_MODES),
                    default=REDISCRETIZED)
@@ -349,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, help="target damping (degree objective)")
     p.add_argument("--kappa", type=float,
                    help="interval ratio lambda1/lambda0 (degree objective)")
-    p.add_argument("--lambda1-value", type=float, default=2.0,
-                   help="lambda1 for the degree objective")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("reproduce", help="recompute a reference table")

@@ -12,13 +12,13 @@ width 2^k h, is the fine Fourier sum at 2^k theta over 4^k.
 Transfer symbols: the prolongation is the inclusion of the 2^k-coarse
 nested piecewise-(multi)linear space, the box spline that
 ``stencils.transfer_factors`` defines for the LFA and the solver alike; its
-symbol is a product of Dirichlet kernels.  Inside block assembly the
-inclusion symbols are divided by
-the aggregate size 2^{kd}; with that normalization the Galerkin coarse
-symbol coincides with the rediscretized one whenever the coarse space is
-nested (linear FEM), and the rediscretized mode reproduces smooth modes
-exactly.  Restriction is the adjoint of prolongation, which makes the
-Galerkin-mode correction invariant to any scalar rescaling.
+symbol is a product of Dirichlet kernels.  A ``HarmonicBlock`` stores it
+divided by the aggregate size 2^{kd}, so that it is 1 at theta = 0; with
+that normalization the Galerkin coarse symbol coincides with the
+rediscretized one whenever the coarse space is nested (linear FEM), and
+the rediscretized mode reproduces smooth modes exactly.  Restriction is
+the adjoint of prolongation, which makes the Galerkin-mode correction
+invariant to any scalar rescaling.
 
 Block spectral radius.  With fine symbols a_i, normalized prolongation
 symbols p_i, coarse symbol a_H and D = diag(s_i^{nu1+nu2}) of the smoother
@@ -52,11 +52,11 @@ point's 2^{kd} harmonics, the symmetric form and one ``eigvalsh`` per
 point (about 18 us for a 16 x 16 block on one core).  On small blocks
 the NumPy call count dominates, about a hundred per round whatever the
 number of points (the smoother recurrence alone makes seven per degree).
-A batch whose every row takes the symmetric form and whose every point
-is live (not at zero) gathers and scatters nothing, and the simplex
-steps run on Python floats.  A ``HarmonicBlock`` carries no smoother:
-its symbols and the u and c of its symmetric form are the same for every
-smoother, which ``block_radii`` takes.  So a two-grid lambda0 search
+Every batch gathers its symmetric-form rows, and only a batch with
+another row assembles dense blocks; the simplex steps run on Python
+floats.  A ``HarmonicBlock`` carries no smoother: its symbols and the u
+and c of its symmetric form are the same for every smoother, which
+``block_radii`` takes.  So a two-grid lambda0 search
 (``optimal_lambda0_two_grid``) builds its lattice's blocks once, and each
 lambda0 then costs its smoother symbols and eigen-solves.  Nothing is
 kept beyond the call.
@@ -69,7 +69,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .polynomials import SmootherSpec, error_poly
+from .polynomials import SA, SmootherSpec, error_poly
 from .smallmat import spectral_radii
 from .stencils import GridGeometry, Stencil, transfer_factors
 from .symbols import (FrequencySampling, JACOBI, fourier_sum,
@@ -141,7 +141,7 @@ class HarmonicBlock:
     """
 
     fine_symbols: np.ndarray         # A~(theta^alpha), complex
-    prolongation: np.ndarray         # P~(theta^alpha), real, 2^{kd} at 0
+    prolongation: np.ndarray         # P~(theta^alpha) / 2^{kd}, real, 1 at 0
     coarse_symbol: np.ndarray        # A~_{2^k h}(theta^0), complex
     rows: np.ndarray
     u: np.ndarray
@@ -241,21 +241,15 @@ class BlockEvaluator:
         self.fine = symbol_terms(st)
         self.diagonal = preconditioner_symbol(st, cfg.preconditioner)
 
-    @property
-    def batch_rows(self) -> int:
-        """Base frequencies per batch: BATCH_ENTRIES dense block entries."""
-        return max(1, BATCH_ENTRIES // int(self.m_d) ** 2)
-
     def block(self, theta0: np.ndarray) -> HarmonicBlock:
         """The blocks at base phases of shape (..., d)."""
         cfg = self.cfg
         theta0 = np.asarray(theta0, dtype=float)
         theta = harmonic_frequencies(cfg.k, theta0)
         fine = fourier_sum(theta, *self.fine)
-        prol = prolongation_symbol(theta, cfg.k, cfg.stencil.geometry)
+        p = prolongation_symbol(theta, cfg.k, cfg.stencil.geometry) / self.m_d
         # Galerkin: conj(p) A p over the harmonics; else see the module doc
         if cfg.coarse_mode == GALERKIN:
-            p = prol / self.m_d
             coarse = np.sum(np.conj(p) * fine * p, axis=-1)
         else:
             # one row per matvec, so a point's value is the same in any batch
@@ -267,27 +261,26 @@ class BlockEvaluator:
                 f"singular coarse symbol at base phase {at.tolist()}: the "
                 "two-grid factor is unbounded near it (a sampling offset "
                 "should exclude the zero frequency)")
-        return self.harmonic_block(fine, prol, coarse)
+        return self.harmonic_block(fine, p, coarse)
 
-    def harmonic_block(self, fine: np.ndarray, prolongation: np.ndarray,
+    def harmonic_block(self, fine: np.ndarray, p: np.ndarray,
                        coarse: np.ndarray) -> HarmonicBlock:
-        """The blocks of these symbols, with their symmetric form (see the
-        module docstring)."""
+        """The blocks of these symbols (p the normalized prolongation), with
+        their symmetric form (see the module docstring)."""
         a = fine.real
-        p = prolongation / self.m_d
         norm2 = (p * p * a).sum(axis=-1)
         gamma = (np.ones_like(norm2) if self.cfg.coarse_mode == GALERKIN
                  else norm2 / coarse.real)
         rows = ((norm2 > 0) & (a >= 0).all(axis=-1)
                 & (gamma <= 1.0 + GAMMA_ROUNDING))
-        take = ... if rows.all() else rows
-        u = p[take] * np.sqrt(a[take]) / np.sqrt(norm2[take])[..., None]
-        c = 1.0 - np.sqrt(1.0 - np.minimum(gamma[take], 1.0))
-        return HarmonicBlock(fine, prolongation, coarse, rows, u, c)
+        u = p[rows] * np.sqrt(a[rows]) / np.sqrt(norm2[rows])[..., None]
+        c = 1.0 - np.sqrt(1.0 - np.minimum(gamma[rows], 1.0))
+        return HarmonicBlock(fine, p, coarse, rows, u, c)
 
     def batches(self, lows: np.ndarray) -> list[HarmonicBlock]:
-        """The blocks at base frequencies (B, d), ``batch_rows`` at a time."""
-        step = self.batch_rows
+        """The blocks at base frequencies (B, d), BATCH_ENTRIES dense block
+        entries at a time."""
+        step = max(1, BATCH_ENTRIES // int(self.m_d) ** 2)
         return [self.block(lows[i:i + step])
                 for i in range(0, len(lows), step)]
 
@@ -300,8 +293,7 @@ class BlockEvaluator:
               block: HarmonicBlock) -> np.ndarray:
         """S^{nu2} (I - P A_H^{-1} R A) S^{nu1} as dense complex blocks."""
         cfg = self.cfg
-        c = coarse_correction_matrix(block, cfg.k,
-                                     cfg.stencil.geometry.dimension)
+        c = coarse_correction_matrix(block)
         s = self.smoother_symbols(smoother, block.fine_symbols)
         return (s**cfg.nu2)[..., :, None] * c * (s**cfg.nu1)[..., None, :]
 
@@ -316,17 +308,14 @@ class BlockEvaluator:
 
         Symmetric form E D E where it is valid (see the module docstring),
         ``smallmat.spectral_radii`` of the assembled block everywhere else.
-        A batch whose every row takes the symmetric form gathers nothing.
         """
         s = self.smoother_symbols(smoother, block.fine_symbols)
         # non-finite smoother symbols go to the dense path, which rejects them
         fast = block.rows & np.isfinite(s).all(axis=-1)
-        every = bool(fast.all())
-        take, keep = ((slice(None),) * 2 if every
-                      else (fast, fast[block.rows]))
-        radii = _symmetric_radii(s[take] ** (self.cfg.nu1 + self.cfg.nu2),
+        keep = fast[block.rows]
+        radii = _symmetric_radii(s[fast] ** (self.cfg.nu1 + self.cfg.nu2),
                                  block.u[keep], block.c[keep])
-        if every:
+        if fast.all():
             return radii
         out = np.empty(len(fast))
         out[fast] = radii
@@ -355,11 +344,9 @@ def _symmetric_radii(d: np.ndarray, u: np.ndarray,
     return np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
 
 
-def coarse_correction_matrix(block: HarmonicBlock, k: int,
-                             dimension: int) -> np.ndarray:
+def coarse_correction_matrix(block: HarmonicBlock) -> np.ndarray:
     """C~ = I - p (A~_H)^{-1} r A~ with normalized inclusion column p."""
-    m_d = float(2 ** (k * dimension))
-    p = block.prolongation / m_d
+    p = block.prolongation
     ah = np.asarray(block.coarse_symbol)[..., None, None]
     n = p.shape[-1]
     return (np.eye(n, dtype=complex)
@@ -383,8 +370,6 @@ def _negated_radii(blocks: BlockEvaluator, smoother: SmootherSpec,
     b = np.pi / 2**blocks.cfg.k
     t = np.array(points, dtype=float).clip(-b * (1 - 1e-9), b * (1 - 1e-9))
     live = (np.abs(t) / b).max(axis=-1) >= 1e-5
-    if live.all():
-        return -blocks.radii(smoother, t)
     out = np.zeros(len(t))
     if live.any():
         out[live] = -blocks.radii(smoother, t[live])
@@ -440,6 +425,8 @@ def optimal_lambda0_two_grid(cfg: TwoGridConfig
     (lambda0, rho, used_fallback).  The lattice's smoother-free block
     symbols are computed once per call and shared by every evaluation.
     """
+    if cfg.smoother.family == SA:
+        raise ValueError("the sa smoother has no lambda0 to optimize")
     lam1 = cfg.smoother.lambda1
     floor, cap = LAMBDA0_FLOOR * lam1, lam1 * (1 - 1e-9)
     seed, _ = lambda_bounds(cfg.stencil, cfg.preconditioner, cfg.k,

@@ -78,10 +78,6 @@ class GridLevel:
             raise ValueError("stencil offsets must lie in {-1, 0, 1}^d")
 
     @property
-    def h(self) -> tuple[float, ...]:
-        return self.stencil.geometry.h
-
-    @property
     def padded_shape(self) -> tuple[int, ...]:
         return tuple(s + 2 for s in self.shape)
 
@@ -133,6 +129,8 @@ class CycleSpec:
             raise ValueError(f"unknown cycle kind {self.kind!r}")
         if self.k < 1:
             raise ValueError("coarsening exponent k must be >= 1")
+        if self.levels is not None and self.levels < 2:
+            raise ValueError(f"levels must be >= 2, got {self.levels}")
         if self.pre < 0 or self.post < 0:
             raise ValueError("smoothing counts must be >= 0")
         # a pure coarse-solve pass is only meaningful with an exact solve
@@ -378,7 +376,8 @@ class Multigrid:
     def a_norm(self, u: np.ndarray) -> float:
         fine = self.levels[0]
         au = fine.interior(apply_operator(fine, fine.pad(u)))
-        return float(np.sqrt(np.vdot(u, np.ascontiguousarray(au)).real))
+        # a pairwise sum: BLAS ddot would split it by the thread count
+        return float(np.sqrt(np.sum(u * au)))
 
 
 def _apply_polynomial(level: GridLevel, spec: SmootherSpec,

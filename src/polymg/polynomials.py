@@ -194,14 +194,19 @@ def min_degree(rho: float, kappa: float, lambda1: float) -> int:
     |log(2/(lambda1 (kappa-1)))|) / |log delta|.
     """
     if not 0 < rho < 1:
-        raise ValueError("need 0 < rho < 1")
-    if kappa <= 1:
-        raise ValueError("need kappa > 1")
+        raise ValueError(f"need 0 < rho < 1, got rho={rho!r}")
+    for name, value, low in (("kappa", kappa, 1), ("lambda1", lambda1, 0)):
+        if not (math.isfinite(value) and value > low):
+            raise ValueError(f"need a finite {name} > {low}, got {value!r}")
     delta = (math.sqrt(kappa) - 1) / (math.sqrt(kappa) + 1)
-    bound = max(abs(math.log(2 * rho / (kappa - 1))),
-                abs(math.log(2 / (lambda1 * (kappa - 1)))))
-    bound /= abs(math.log(delta))
-    return max(math.ceil(bound), 0)
+    try:
+        bound = max(abs(math.log(2 * rho / (kappa - 1))),
+                    abs(math.log(2 / (lambda1 * (kappa - 1)))))
+        return max(math.ceil(bound / abs(math.log(delta))), 0)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        # delta rounds to 0 or 1, or a logarithm leaves the float range
+        raise ValueError(f"no finite degree for rho={rho!r}, kappa={kappa!r}"
+                         f" and lambda1={lambda1!r}") from None
 
 
 def is_admissible(spec: SmootherSpec) -> bool:

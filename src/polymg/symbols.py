@@ -186,13 +186,6 @@ def lattice_high_closure(dimension: int, n: int, k: int) -> np.ndarray:
     return mask.ravel()
 
 
-def low_frequency_mask(k: int, theta: np.ndarray) -> np.ndarray:
-    """Low phases of 2^k coarsening: the half-open box (-b, b]^d, b = pi/2^k."""
-    b = np.pi / 2**k
-    eps = 1e-12 * b
-    return np.all((theta > -b - eps) & (theta <= b + eps), axis=-1)
-
-
 def high_closure_mask(k: int, theta: np.ndarray) -> np.ndarray:
     """Closure of the high-frequency region (keeps the low-box boundary)."""
     return np.max(np.abs(theta) / (np.pi / 2**k), axis=-1) >= 1.0 - 1e-12
@@ -204,12 +197,15 @@ def sample_frequencies(geometry: GridGeometry, k: int,
     """Offset uniform lattice over (-pi, pi]^d, split into (low, high).
 
     The lattice is shifted by OFFSET_FRACTION of a step so theta = 0 is
-    never sampled; exactly (N/2^k)^d samples land in the low box.
+    never sampled; exactly (N/2^k)^d samples land in the low box, the
+    half-open (-b, b]^d with b = pi/2^k.
     """
     sampling.validate_ratio(k)
     theta = _lattice(geometry.dimension, sampling.samples_per_axis,
                      OFFSET_FRACTION)
-    low = low_frequency_mask(k, theta)
+    b = np.pi / 2**k
+    eps = 1e-12 * b
+    low = np.all((theta > -b - eps) & (theta <= b + eps), axis=-1)
     return theta[low], theta[~low]
 
 
@@ -348,11 +344,12 @@ def _trial_value(known: list, trials: list, i: int):
 
 @lru_cache(maxsize=4)
 def _lambda1(stencil: Stencil, kind: str,
-             sampling: FrequencySampling) -> tuple[float, int]:
-    """max |X~| over all frequencies, polished, and its seed's index."""
+             sampling: FrequencySampling) -> tuple[float, np.ndarray]:
+    """max |X~| over all frequencies, polished, and its seed (read-only)."""
     theta, x = lattice_symbol(stencil, kind, sampling)
     top = int(np.argmax(np.abs(x)))
-    return max(abs(float(x[top])), _polish_max(stencil, kind, theta[top])), top
+    seed = read_only(theta[top].copy())
+    return max(abs(float(x[top])), _polish_max(stencil, kind, seed)), seed
 
 
 def _face_seeds(stencil: Stencil, kind: str, k: int,
@@ -434,20 +431,18 @@ def lambda_bounds(stencil: Stencil, kind: str, k: int,
     stencil = stencil.normalized()
     sampling = sampling or FrequencySampling()
     sampling.validate_ratio(k)
-    n, d = sampling.samples_per_axis, stencil.geometry.dimension
     if _lattice_x(stencil, kind, sampling)[1] < -REAL_SYMBOL_TOL:
         raise ValueError("preconditioned symbol is not positive semi-definite")
-    lam1, top = _lambda1(stencil, kind, sampling)
+    lam1, peak = _lambda1(stencil, kind, sampling)
 
     lattice_min = np.min(np.abs(high_closure_values(stencil, kind,
                                                     sampling, k)))
     seeds, axes = _face_seeds(stencil, kind, k, sampling)
     face_min = np.min(_face_minima(stencil, kind, k, seeds, axes,
-                                   2 * np.pi / n))
+                                   2 * np.pi / sampling.samples_per_axis))
     lam0 = min(float(lattice_min), float(face_min))
 
-    ticks = _lattice(1, n, 1.0)[:, 0]
-    if not high_closure_mask(k, ticks[list(np.unravel_index(top, (n,) * d))]):
+    if not high_closure_mask(k, peak):
         theta, x = lattice_symbol(stencil, kind, sampling)
         hi = high_closure_mask(k, theta)
         ax = np.abs(x[hi])

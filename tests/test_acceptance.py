@@ -337,7 +337,7 @@ def test_criterion_9_property_suites(table3, table4, table5):
     cfg = TwoGridConfig(stencil=fd2, smoother=spec, k=2, coarse_mode=GALERKIN)
     theta0 = rng.uniform(-np.pi / 4, np.pi / 4, size=2)
     blk = BlockEvaluator(cfg).block(theta0)
-    c = coarse_correction_matrix(blk, 2, 2)
+    c = coarse_correction_matrix(blk)
     assert np.max(np.abs(c @ c - c)) < 1e-10
 
     # smoother eigenbasis oracle on a 7x7 grid

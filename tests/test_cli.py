@@ -198,15 +198,40 @@ def test_optimize_degree_objective(capsys):
     delta = (math.sqrt(kappa) - 1) / (math.sqrt(kappa) + 1)
     rho = delta**m * (kappa - 1) / 2 * 1.0000001
     code, out, _ = run_cli(
-        capsys, "optimize", "--objective", "degree", "--family", "ba1x",
-        "--rho", f"{rho}", "--kappa", f"{kappa}", "--lambda1-value", f"{lam1}")
+        capsys, "optimize", "--objective", "degree",
+        "--rho", f"{rho}", "--kappa", f"{kappa}", "--lambda1", f"{lam1}")
     assert code == 0
     assert json.loads(out)["degree"] == m
 
 
+@pytest.mark.parametrize("flags", [
+    ("--lambda1", "0"), ("--lambda1", "-1"), ("--kappa", "inf"),
+    ("--lambda1", "auto"), ("--lambda1", "1e-320"), ("--kappa", "1e+308")],
+    ids=["lambda1-0", "lambda1-1", "kappa-inf", "lambda1-auto",
+         "lambda1-subnormal", "kappa-huge"])
+def test_optimize_degree_rejects_bad_values(capsys, flags):
+    values = {"--rho": "0.1", "--kappa": "13.66", "--lambda1": "2"}
+    values[flags[0]] = flags[1]
+    code, out, err = run_cli(capsys, "optimize", "--objective", "degree",
+                             *(x for item in values.items() for x in item))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    message = json.loads(err)["message"]
+    assert flags[0][2:] in message and flags[1] in message
+
+
+def test_optimize_twogrid_refuses_sa(capsys):
+    # SA ignores lambda0, so there is nothing for the search to tune
+    code, out, err = run_cli(
+        capsys, "optimize", "--objective", "twogrid", "--stencil", "fd2d",
+        "--k", "1", "--family", "sa", "--degree", "2", "--samples", "16")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "lambda0" in json.loads(err)["message"]
+
+
 def test_optimize_smoothing_objective(capsys):
+    # the min-max lambda0* and its mu come from smoothing-factor
     code, out, _ = run_cli(
-        capsys, "optimize", "--objective", "smoothing", "--stencil", "fd2d",
+        capsys, "smoothing-factor", "--lambda0", "opt", "--stencil", "fd2d",
         "--k", "2", "--family", "ba1x", "--degree", "6")
     assert code == 0
     report = json.loads(out)

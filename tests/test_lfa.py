@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -266,10 +269,10 @@ def test_galerkin_correction_is_projection():
         b = np.pi / 2**k
         theta0 = rng.uniform(-b, b, size=2)
         blk = BlockEvaluator(_config(FD2, spec, k, GALERKIN)).block(theta0)
-        c = coarse_correction_matrix(blk, k, 2)
+        c = coarse_correction_matrix(blk)
         assert np.max(np.abs(c @ c - c)) < 1e-10
         # the correction annihilates the prolongated coarse mode
-        p = blk.prolongation / 4**k
+        p = blk.prolongation
         assert np.max(np.abs(c @ p)) < 1e-10
 
 
@@ -342,6 +345,26 @@ def test_optimal_lambda0_two_grid_improves_on_seed():
     assert lam0 == pytest.approx(0.405, abs=1e-2)
     assert rho == pytest.approx(0.111, abs=1e-2)
     assert not fallback
+
+
+def test_optimal_lambda0_two_grid_refuses_sa():
+    # SA ignores lambda0, so any lambda0 the search returned would be noise
+    cfg = _config(FD2, SmootherSpec(SA, 2, 0.0, 2.0), 1, REDISCRETIZED)
+    with pytest.raises(ValueError, match="lambda0"):
+        optimal_lambda0_two_grid(cfg)
+
+
+def test_lambda0_sweep_script_runs():
+    # the sweep reads BlockEvaluator; it offers only families with a lambda0
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, os.path.join(root, "scripts", "lambda0_sweep.py"),
+            "--k", "1", "--degree", "2", "--samples", "16", "--points", "3"]
+    for family, code in (("cheb", 0), ("sa", 2)):
+        done = subprocess.run(argv + ["--family", family], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == code, done.stderr
 
 
 def test_two_grid_config_validation():
@@ -497,14 +520,14 @@ def test_lockstep_polish_matches_scipy(maxiter):
 
 
 def test_all_fast_batch_matches_rows_beside_dense_fallback(monkeypatch):
-    # a batch with no dense row skips the gathers; its values are those
-    # of the same rows gathered out of a mixed batch
+    # a batch with no dense row returns its symmetric-form radii as they
+    # are; they equal those of the same rows beside a dense row
     dense = _count_dense(monkeypatch)
     blocks, lows = _sweep(FD2, 2, 32, REDISCRETIZED)
     spec = blocks.cfg.smoother
     alone = blocks.block_radii(spec, blocks.block(lows[1:]))
     mixed = blocks.block(lows)
-    p = mixed.prolongation[0] / blocks.m_d
+    p = mixed.prolongation[0]
     mixed.coarse_symbol[0] = np.sum(p * p * mixed.fine_symbols[0].real) / 1.5
     mixed = blocks.harmonic_block(mixed.fine_symbols, mixed.prolongation,
                                   mixed.coarse_symbol)
@@ -547,7 +570,7 @@ def test_gamma_above_one_takes_dense_fallback(monkeypatch):
     blocks, lows = _sweep(FD2, 2, 32, REDISCRETIZED)
     spec = blocks.cfg.smoother
     blk = blocks.block(lows)
-    p = blk.prolongation / blocks.m_d
+    p = blk.prolongation
     norm2 = np.sum(p * p * blk.fine_symbols.real, axis=-1)
     raised = np.arange(len(lows)) % 3 == 0
     # gamma = norm2 / a_H = 1.5 on every third block
