@@ -8,10 +8,12 @@ vectors, and of one V-cycle (``Multigrid.cycle``, interior-shaped).
 The smoother is Chebyshev on [0.25, 2]; operator costs do not depend on
 the interval.  Each kernel runs once untimed (the coarsest LU is factored
 on first use), then repeatedly for at least ``--seconds`` and at least
-five times.  The last column is the minor page faults per
-``apply_operator``: glibc returns freed arrays above its adaptive mmap
-threshold to the system, so until the process has freed a larger array
-each call faults its fresh arrays in again.  The configurations run in a
+five times.  The last column is the minor page faults per plain
+``apply_operator``, whose full-size output glibc maps afresh while it is
+above the adaptive mmap threshold (until the process has freed a larger
+array), so each call faults it in again.  A smoothing step allocates no
+full-size A v (its update is fused into the operator's blocks), so only
+the smooth's three work vectors can fault.  The configurations run in a
 fixed order, so every run sees the same allocator history.
 
 Usage: PYTHONPATH=src python scripts/kernel_timings.py [--seconds 2]

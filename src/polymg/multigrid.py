@@ -7,8 +7,8 @@ per factor; restriction is the adjoint scaled by 2^{-kd}.
 Every level, Galerkin coarse levels included, is a stencil applied
 matrix-free with one multiply per distinct coefficient, which rounds
 differently from the entry-by-entry sum in the last bits; only the
-coarsest is assembled, for its LU.  Smoothers run
-the recurrence of ``polynomials.apply_q`` with X = R0 A, the same code the
+coarsest is assembled, for its LU.  Smoothers run the recurrence
+of ``polynomials.apply_q`` with X = R0 A, the coefficients and update the
 Fourier symbols use, so a degree-m polynomial costs m operator
 applications (m + 1 per smoothing step with its residual).
 
@@ -19,10 +19,14 @@ boundary.  Flattened, each stencil entry is one fixed offset
 over contiguous 1-D slices of the flat range from the first to the last
 interior point, then zeroes the halo points in that range; element-wise
 arithmetic keeps the halo zero, so the smoother recurrence runs as is.
-The range is walked in blocks of ``CHUNK`` = 2^16 points (512 KiB per
-float64 array), sized so that one block's group sum, scratch and output
-stay in a core's 2 MiB L2 cache rather than streaming a 63^3 vector
-through memory once per group; a 255^2 range is one block.  The public
+The range is walked in blocks of ``CHUNK`` = 2^15 points, and a smoothing
+step is one pass over them: each block of A v gets the step's update
+((r - A v) / r0 and ``polynomials.recurrence_step``) while it is in
+cache, as do the first residual and the cycle's f - A u, so no step
+writes a full-size A v.  2^15 keeps a block's five operands (v, v_prev,
+r, A v, scratch) in a 2 MiB L2 cache; 2^16 overflows it.  The update
+comes in a context variable (``_fused``), so each application stays the
+call ``apply_operator(level, u)`` that tracers count.  The public
 API (``Multigrid.cycle``, ``a_norm``, ``measure_asymptotic_rate``) keeps
 interior-shaped arrays.
 """
@@ -30,16 +34,17 @@ interior-shaped arrays.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+import time
+from contextvars import ContextVar, copy_context
+from dataclasses import asdict, dataclass, field
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .lfa import GALERKIN, REDISCRETIZED
-from .polynomials import SmootherSpec, apply_q, is_admissible
+from .polynomials import (SmootherSpec, is_admissible, recurrence,
+                          recurrence_step)
 from .stencils import (GridGeometry, Stencil, build_fd_laplace, rectangular,
                        transfer_factors, transfer_table)
 from .symbols import JACOBI, preconditioner_symbol
@@ -49,7 +54,9 @@ V_CYCLE = "v"
 W_CYCLE = "w"
 CYCLE_KINDS = (TWO_GRID, V_CYCLE, W_CYCLE)
 #: points per block of ``apply_operator``'s flat range (see the docstring)
-CHUNK = 2**16
+CHUNK = 2**15
+#: epilogue(start, stop, block) of the running ``apply_operator``, or None
+_EPILOGUE: ContextVar = ContextVar("epilogue", default=None)
 
 
 class FlatPlan(NamedTuple):
@@ -140,11 +147,7 @@ class CycleSpec:
             raise ValueError(f"unknown coarse mode {self.coarse_mode!r}")
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "k": self.k,
-                "smoother": self.smoother.to_dict(),
-                "preconditioner": self.preconditioner,
-                "pre": self.pre, "post": self.post, "levels": self.levels,
-                "coarse_mode": self.coarse_mode}
+        return asdict(self)
 
 
 def make_grid_level(n: int, dimension: int,
@@ -161,21 +164,24 @@ def make_grid_level(n: int, dimension: int,
     return GridLevel(shape=(n,) * dimension, stencil=stencil)
 
 
-def apply_operator(level: GridLevel, u: np.ndarray) -> np.ndarray:
+def apply_operator(level: GridLevel, u: np.ndarray) -> np.ndarray | None:
     """A u for a padded vector u, padded with a zero halo: per block of the
     flat range, each coefficient group is summed in place, scaled once and
-    added up."""
+    added up; inside ``_fused`` the block goes to the epilogue instead."""
     if u.shape != level.padded_shape:
         raise ValueError(f"vector shape {u.shape} != padded level shape "
                          f"{level.padded_shape}")
     lo, hi, terms, halo = level.plan
     src = u.astype(np.result_type(u, 1.0), copy=False).ravel()  # ints: floats
-    out = np.empty_like(src)
-    out[:lo] = out[hi:] = 0.0
-    scratch = np.empty(min(CHUNK, hi - lo), dtype=out.dtype)
+    epilogue = _EPILOGUE.get()
+    if epilogue is None:
+        out = np.empty_like(src)
+        out[:lo] = out[hi:] = 0.0
+    block, scratch = np.empty((2, min(CHUNK, hi - lo)), dtype=src.dtype)
     for start in range(lo, hi, CHUNK):
         stop = min(start + CHUNK, hi)
-        dst, tmp = out[start:stop], scratch[:stop - start]
+        dst = out[start:stop] if epilogue is None else block[:stop - start]
+        tmp = scratch[:stop - start]
         for i, (c, (first, *rest)) in enumerate(terms):
             acc = tmp if i else dst
             if rest:
@@ -188,12 +194,23 @@ def apply_operator(level: GridLevel, u: np.ndarray) -> np.ndarray:
                 np.multiply(src[start + first:stop + first], c, out=acc)
             if i:
                 dst += tmp
-    out[halo] = 0.0
-    return out.reshape(level.padded_shape)
+        a, b = np.searchsorted(halo, (start, stop))
+        dst[halo[a:b] - start] = 0.0
+        if epilogue is not None:
+            epilogue(start, stop, dst)
+    return None if epilogue else out.reshape(level.padded_shape)
 
 
-def assemble_matrix(level: GridLevel) -> sp.csr_matrix:
+def _fused(level: GridLevel, u: np.ndarray, epilogue) -> None:
+    """apply_operator(level, u) with ``epilogue`` set in a context copy."""
+    context = copy_context()
+    context.run(_EPILOGUE.set, epilogue)
+    context.run(apply_operator, level, u)
+
+
+def assemble_matrix(level: GridLevel) -> "sp.csr_matrix":
     """Sparse matrix of the level operator (coarsest LU, Galerkin probe)."""
+    import scipy.sparse as sp
     shape = level.shape
     size = int(np.prod(shape))
     idx = np.arange(size).reshape(shape)
@@ -209,6 +226,12 @@ def assemble_matrix(level: GridLevel) -> sp.csr_matrix:
     return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(size, size))
+
+
+def splu(a, **options):
+    """SciPy's sparse LU, imported on first use."""
+    from scipy.sparse.linalg import splu as scipy_splu
+    return scipy_splu(a, **options)
 
 
 def factor_coarsest(level: GridLevel):
@@ -270,9 +293,10 @@ def restrict(fine: np.ndarray, k: int, geometry: GridGeometry) -> np.ndarray:
 
 
 def prolongation_matrix(coarse_shape: tuple[int, ...], k: int,
-                        geometry: GridGeometry) -> sp.csr_matrix:
+                        geometry: GridGeometry) -> "sp.csr_matrix":
     """Sparse interpolation matrix of a small grid (the Galerkin probe):
     ``prolongate`` of every coarse unit vector, one column each."""
+    import scipy.sparse as sp
     size = int(np.prod(coarse_shape))
     columns = np.eye(size).reshape(tuple(coarse_shape) + (size,))
     return sp.csr_matrix(prolongate(columns, k, geometry).reshape(-1, size))
@@ -331,14 +355,35 @@ class Multigrid:
         return self.levels[0].shape
 
     def smooth(self, idx: int, f: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """u + R (f - A u) on padded vectors of level ``idx``."""
+        """u + R (f - A u) on padded vectors of level ``idx``: ``apply_q``
+        with X = R0 A, each step fused into its ``apply_operator``."""
         level = self.levels[idx]
-        au = apply_operator(level, u)
-        out = _apply_polynomial(level, self.spec.smoother,
-                                self.spec.preconditioner,
-                                np.subtract(f, au, out=au))
-        out += u
-        return out
+        lo, hi = level.plan[:2]
+        r0 = preconditioner_symbol(level.stencil, self.spec.preconditioner)
+        gamma, steps = recurrence(self.spec.smoother)
+        f_, u_ = f.reshape(-1), u.reshape(-1)
+        r, v, v_prev = (np.empty(f_.size) for _ in range(3))
+        v[:lo] = v[hi:] = v_prev[:lo] = v_prev[hi:] = 0.0
+
+        def residual(s, t, au):  # v_{-1} = 0 in v_prev
+            np.divide(np.subtract(f_[s:t], au, out=r[s:t]), r0, out=v[s:t])
+            v[s:t] *= gamma
+            v_prev[s:t] = 0.0
+            if not steps:
+                v[s:t] += u_[s:t]
+
+        def step(s, t, av, j, v, v_prev):
+            rbar = np.divide(np.subtract(r[s:t], av, out=av), r0, out=av)
+            out = recurrence_step(*steps[j], v[s:t], v_prev[s:t], rbar)
+            if j == len(steps) - 1:
+                out += u_[s:t]
+
+        _fused(level, u, residual)
+        for j in range(len(steps)):
+            _fused(level, v.reshape(level.padded_shape),
+                   partial(step, j=j, v=v, v_prev=v_prev))
+            v, v_prev = v_prev, v
+        return v.reshape(level.padded_shape)
 
     def _cycle(self, idx: int, f: np.ndarray, u: np.ndarray) -> np.ndarray:
         level = self.levels[idx]
@@ -349,11 +394,11 @@ class Multigrid:
             return level.pad(x.reshape(level.shape))
         for _ in range(self.spec.pre):
             u = self.smooth(idx, f, u)
-        residual = apply_operator(level, u)
-        np.subtract(f, residual, out=residual)
+        r, f_ = np.empty(f.size), f.reshape(-1)  # f - A u on the flat range
+        _fused(level, u, lambda s, t, au: np.subtract(f_[s:t], au, out=r[s:t]))
         geometry, coarse = level.stencil.geometry, self.levels[idx + 1]
-        rc = coarse.pad(restrict(level.interior(residual), self.spec.k,
-                                 geometry))
+        rc = coarse.pad(restrict(level.interior(r.reshape(f.shape)),
+                                 self.spec.k, geometry))
         ec = np.zeros_like(rc)
         passes = 2 if self.spec.kind == W_CYCLE else 1
         for _ in range(passes):
@@ -380,33 +425,22 @@ class Multigrid:
         return float(np.sqrt(np.sum(u * au)))
 
 
-def _apply_polynomial(level: GridLevel, spec: SmootherSpec,
-                      preconditioner: str, r: np.ndarray) -> np.ndarray:
-    """R r = q(R0 A) R0 r: ``degree`` operator applications."""
-    r0 = preconditioner_symbol(level.stencil, preconditioner)
-    def residual(v: np.ndarray) -> np.ndarray:  # (r - A v) / r0, in place
-        av = apply_operator(level, v)
-        return np.divide(np.subtract(r, av, out=av), r0, out=av)
-
-    return apply_q(spec, r / r0, residual)
-
-
 @dataclass
 class RateReport:
     """Asymptotic-rate measurement with its full provenance."""
 
     rate: float
-    ratios: list[float] = field(repr=False)
     iterations: int = 0
     seed: int = 0
     n: int = 0
     dimension: int = 2
     spec: dict | None = None
+    seconds: float = 0.0  # wall time of the cycle loop
+    tail_log_spread: float | None = None  # max - min of the logs rate averages
+    ratios: list[float] = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
-        return {"rate": self.rate, "iterations": self.iterations,
-                "seed": self.seed, "n": self.n, "dimension": self.dimension,
-                "spec": self.spec, "ratios": self.ratios}
+        return asdict(self)
 
 
 def measure_asymptotic_rate(spec: CycleSpec, n: int, dimension: int = 2,
@@ -427,6 +461,7 @@ def measure_asymptotic_rate(spec: CycleSpec, n: int, dimension: int = 2,
     e /= mg.a_norm(e)
     zero = np.zeros_like(e)
     ratios = []
+    start = time.perf_counter()
     for it in range(iterations):
         e = mg.cycle(zero, e)
         nrm = mg.a_norm(e)
@@ -437,8 +472,10 @@ def measure_asymptotic_rate(spec: CycleSpec, n: int, dimension: int = 2,
         if nrm == 0.0:
             break
         e /= nrm
-    tail = ratios[-10:]
-    rate = float(np.exp(np.mean(np.log(tail))))
-    return RateReport(rate=rate, ratios=ratios, iterations=iterations,
-                      seed=seed, n=n, dimension=dimension,
-                      spec=spec.to_dict())
+    seconds = time.perf_counter() - start
+    logs = np.log(ratios[-10:])
+    spread = float(np.ptp(logs)) if np.isfinite(logs).all() else None
+    return RateReport(rate=float(np.exp(np.mean(logs))), ratios=ratios,
+                      iterations=iterations, seed=seed, n=n,
+                      dimension=dimension, spec=spec.to_dict(),
+                      seconds=seconds, tail_log_spread=spread)

@@ -6,9 +6,11 @@ scaled/shifted classical polynomial, "sa" the smoothed-aggregation
 polynomial (no lower interval end), and "ba1x" the best uniform
 approximation to 1/x.
 
-All three are evaluated by one three-term recurrence (``apply_q``) that
-the symbols (X a scalar) and the multigrid solver (X = R0 A) share; the
-families differ only in its coefficients (gamma, alpha_j, beta_j):
+All three are evaluated by one three-term recurrence that the symbols
+(``apply_q``, X scalar) and the solver (X = R0 A) share: ``recurrence``
+gives its coefficients and ``recurrence_step`` its update, which
+``Multigrid.smooth`` runs on each block of its operator applications.
+The families differ only in the coefficients (gamma, alpha_j, beta_j):
 
 * Chebyshev (Saad, Iterative Methods, Alg. 12.1): gamma = zeta =
   2/(lambda1+lambda0), a = (lambda1+lambda0)/(lambda1-lambda0),
@@ -32,7 +34,7 @@ underlying Chebyshev argument exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -81,11 +83,10 @@ class SmootherSpec:
         return replace(self, lambda0=lambda0)
 
     def to_dict(self) -> dict:
-        return {"family": self.family, "degree": self.degree,
-                "lambda0": self.lambda0, "lambda1": self.lambda1}
+        return asdict(self)
 
 
-def _recurrence(spec: SmootherSpec) -> tuple[float, list[tuple[float, float]]]:
+def recurrence(spec: SmootherSpec) -> tuple[float, list[tuple[float, float]]]:
     """(gamma, [(alpha_j, beta_j)] for the degree steps) of apply_q."""
     m, lam0, lam1 = spec.degree, spec.lambda0, spec.lambda1
     if spec.family == CHEBYSHEV:
@@ -113,28 +114,29 @@ def _recurrence(spec: SmootherSpec) -> tuple[float, list[tuple[float, float]]]:
     return gamma, ([first] + [(delta**2, c)] * (m - 1))[:m]
 
 
+def recurrence_step(alpha: float, beta: float, v, v_prev, rbar):
+    """v + alpha (v - v_prev) + beta rbar over arrays ``v_prev`` and ``rbar``
+    (or new floats); -alpha (v_prev - v) rounds like alpha (v - v_prev)."""
+    v_prev -= v
+    v_prev *= -alpha
+    v_prev += v
+    rbar *= beta
+    v_prev += rbar
+    return v_prev
+
+
 def apply_q(spec: SmootherSpec, b, residual):
     """v = q(X) b by the family's three-term recurrence.
 
     v_{-1} = 0, v_0 = gamma b and v_{j+1} = v_j + alpha_j (v_j - v_{j-1})
     + beta_j r_j with r_j = residual(v_j) = b - X v_j, taken ``degree``
-    times.  X is scalar multiplication for the symbols and R0 A for the
-    solver, so both evaluate the same polynomial.  The update runs in
-    place on two rotating buffers and never writes ``b``; ``residual``
+    times by ``recurrence_step``, which never writes ``b``; ``residual``
     must return a fresh array (or a scalar), which is scaled in place.
-    -alpha (v_{j-1} - v_j) rounds like alpha (v_j - v_{j-1}), so the
-    result compares equal to the one-expression update.
     """
-    gamma, steps = _recurrence(spec)
+    gamma, steps = recurrence(spec)
     v_prev, v = 0.0, gamma * b
     for alpha, beta in steps:
-        rbar = residual(v)
-        v_prev -= v
-        v_prev *= -alpha
-        v_prev += v
-        rbar *= beta
-        v_prev += rbar
-        v, v_prev = v_prev, v
+        v, v_prev = recurrence_step(alpha, beta, v, v_prev, residual(v)), v
     return v
 
 

@@ -238,9 +238,9 @@ def expression_apply_q(spec, b, residual):
     The reference for the in-place update of ``polynomials.apply_q``: the
     same coefficients, every operation on fresh arrays.
     """
-    from polymg.polynomials import _recurrence
+    from polymg.polynomials import recurrence
 
-    gamma, steps = _recurrence(spec)
+    gamma, steps = recurrence(spec)
     v_prev, v = 0.0, gamma * b
     for alpha, beta in steps:
         rbar = residual(v)
@@ -380,16 +380,45 @@ def apply_interior(level, u: np.ndarray) -> np.ndarray:
     return level.interior(apply_operator(level, level.pad(u)))
 
 
+def apply_polynomial(level, spec, preconditioner: str,
+                     r: np.ndarray) -> np.ndarray:
+    """R r = q(R0 A) R0 r for a padded r, unfused: ``apply_q`` with each
+    residual from a full ``apply_operator``, ``degree`` applications."""
+    from polymg.multigrid import apply_operator
+    from polymg.polynomials import apply_q
+    from polymg.symbols import preconditioner_symbol
+
+    r0 = preconditioner_symbol(level.stencil, preconditioner)
+
+    def residual(v: np.ndarray) -> np.ndarray:  # (r - A v) / r0, in place
+        av = apply_operator(level, v)
+        return np.divide(np.subtract(r, av, out=av), r0, out=av)
+
+    return apply_q(spec, r / r0, residual)
+
+
+def unfused_smooth(level, spec, preconditioner: str, f: np.ndarray,
+                   u: np.ndarray) -> np.ndarray:
+    """u + R (f - A u) on padded vectors, the residual and every step
+    from a full ``apply_operator``: what ``Multigrid.smooth`` fuses."""
+    from polymg.multigrid import apply_operator
+
+    au = apply_operator(level, u)
+    out = apply_polynomial(level, spec, preconditioner,
+                           np.subtract(f, au, out=au))
+    out += u
+    return out
+
+
 def apply_smoother(level, spec, preconditioner: str,
                    r: np.ndarray) -> np.ndarray:
     """The smoother R r of one level on an interior-shaped r."""
-    from polymg.multigrid import _apply_polynomial
     from polymg.polynomials import is_admissible
 
     if not is_admissible(spec):
         raise ValueError("inadmissible smoother spec (max |e| >= 1)")
     return level.interior(
-        _apply_polynomial(level, spec, preconditioner, level.pad(r)))
+        apply_polynomial(level, spec, preconditioner, level.pad(r)))
 
 
 def bilinear_weight_stencil() -> dict[tuple[int, int], float]:

@@ -2,6 +2,9 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -135,6 +138,35 @@ def test_solve_roundtrip_bitwise(capsys):
     second = json.loads(out)
     assert first["rate"] == second["rate"]  # bitwise for a fixed seed
     assert first["ratios"] == second["ratios"]
+
+
+def test_solve_reports_loop_time_and_tail_spread(capsys):
+    code, out, err = run_cli(
+        capsys, "solve", "--stencil", "fd2d", "--cycle", "v", "--k", "1",
+        "--family", "cheb", "--degree", "2", "--lambda0", "0.5",
+        "--n", "31", "--iterations", "30")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["seconds"] > 0.0
+    logs = [math.log(r) for r in report["ratios"][-10:]]
+    assert report["tail_log_spread"] == pytest.approx(max(logs) - min(logs))
+    assert report["tail_log_spread"] >= 0.0
+
+
+def test_lfa_paths_leave_scipy_sparse_unimported():
+    # SciPy is imported by the coarsest LU and the Galerkin probe only
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys, polymg; before = 'scipy.sparse' in sys.modules; "
+            "from polymg.cli import main; code = main(['smoothing-factor', "
+            "'--stencil', 'fd3d', '--k', '2', '--family', 'cheb', "
+            "'--degree', '9', '--lambda0', 'opt']); "
+            "print(code, before, 'scipy.sparse' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(
+            None, [src, os.environ.get("PYTHONPATH")])))).stdout
+    assert out.splitlines()[-1] == "0 False False"
 
 
 def test_solve_triangular_preset(capsys):

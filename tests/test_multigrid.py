@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ from polymg import (BA1X, CHEBYSHEV, GALERKIN, JACOBI, L1_JACOBI,
                     build_fem_tri_laplace, lambda_bounds,
                     make_grid_level, measure_asymptotic_rate, prolongate,
                     rectangular, restrict, rho_two_grid, triangular)
-from polymg.multigrid import (GridLevel, _apply_polynomial, assemble_matrix,
+from polymg.multigrid import (GridLevel, assemble_matrix,
                               factor_coarsest, galerkin_stencil,
                               prolongation_matrix)
 from polymg.stencils import transfer_table
@@ -26,7 +27,7 @@ from oracles import (Q1_STENCIL, TABLE_DEGREES, apply_interior,
                      bilinear_weight_stencil, closed_form_error,
                      galerkin_matrices, separable_prolongate,
                      separable_prolongation_matrix, separable_restrict,
-                     strided_apply_operator)
+                     strided_apply_operator, unfused_smooth)
 
 CHEB = SmootherSpec(CHEBYSHEV, 2, 0.5, 2.0)
 FD2_GEOMETRY = rectangular(1.0, 2)
@@ -251,29 +252,58 @@ def test_degree_zero_chebyshev():
                        zeta * r / diag)
 
 
-def test_smoother_operator_application_count():
-    level = make_grid_level(7, 2)
-    rng = np.random.default_rng(7)
-    r = rng.standard_normal(level.shape)
-    counts = {"n": 0}
-    import polymg.multigrid as mg
+#: every degree the fused-smoother tests run: 0, 1 and the table degrees
+SMOOTH_DEGREES = (0, 1) + TABLE_DEGREES
 
-    original = mg.apply_operator
+
+def _spec(family, degree):
+    """``family`` at ``degree`` on (lambda0, 2]; ba1x of degree 0 needs
+    lambda0 > 2/3 to be admissible."""
+    lam0 = {CHEBYSHEV: 0.5, BA1X: 0.4 if degree else 1.0, SA: 0.0}[family]
+    return SmootherSpec(family, degree, lam0, 2.0)
+
+
+def _counting_apply_operator(monkeypatch):
+    """Counts ``apply_operator`` calls through a wrapper that, like the
+    benchmark tracer's counter, takes exactly (level, u)."""
+    import polymg.multigrid as mg_module
+
+    counts = {"n": 0}
+    original = mg_module.apply_operator
 
     def counting(level, u):
         counts["n"] += 1
         return original(level, u)
 
-    mg.apply_operator = counting
-    try:
-        for family, lam0 in ((CHEBYSHEV, 0.5), (BA1X, 0.4), (SA, 0.0)):
-            for degree in TABLE_DEGREES:
-                spec = SmootherSpec(family, degree, lam0, 2.0)
-                counts["n"] = 0
-                apply_smoother(level, spec, JACOBI, r)
-                assert counts["n"] == degree, (family, degree)
-    finally:
-        mg.apply_operator = original
+    monkeypatch.setattr(mg_module, "apply_operator", counting)
+    return counts
+
+
+def test_smoother_operator_application_count(monkeypatch):
+    # the unfused oracle costs degree applications, and a fine-level
+    # Multigrid.smooth degree + 1 in both coarse modes, 2D and 3D: its
+    # residual, then one per step
+    level = make_grid_level(7, 2)
+    r = np.random.default_rng(7).standard_normal(level.shape)
+    counts = _counting_apply_operator(monkeypatch)
+    for family, lam0 in ((CHEBYSHEV, 0.5), (BA1X, 0.4), (SA, 0.0)):
+        for degree in TABLE_DEGREES:
+            spec = SmootherSpec(family, degree, lam0, 2.0)
+            counts["n"] = 0
+            apply_smoother(level, spec, JACOBI, r)
+            assert counts["n"] == degree, (family, degree)
+    rng = np.random.default_rng(7)
+    for coarse_mode, (dimension, n), family, degree in itertools.product(
+            (REDISCRETIZED, GALERKIN), ((2, 15), (3, 7)),
+            (CHEBYSHEV, BA1X, SA), SMOOTH_DEGREES):
+        mg = Multigrid(CycleSpec(kind="v", k=1, smoother=_spec(
+            family, degree), coarse_mode=coarse_mode), n, dimension)
+        fine = mg.levels[0]
+        f, u = (fine.pad(v) for v in rng.standard_normal((2,) + mg.shape))
+        counts["n"] = 0
+        mg.smooth(0, f, u)
+        assert counts["n"] == degree + 1, (coarse_mode, dimension, family,
+                                           degree)
 
 
 def test_inadmissible_spec_rejected():
@@ -414,25 +444,21 @@ def test_stencil_offsets_beyond_one_cell_rejected():
 
 
 def test_galerkin_smooth_operator_application_count(monkeypatch):
-    import polymg.multigrid as mg_module
-
-    spec = SmootherSpec(CHEBYSHEV, 3, 0.5, 2.0)
-    mg = Multigrid(CycleSpec(kind="v", k=1, smoother=spec,
-                             coarse_mode=GALERKIN), 31, 2)
-    counts = {"n": 0}
-    original = mg_module.apply_operator
-
-    def counting(level, u):
-        counts["n"] += 1
-        return original(level, u)
-
-    monkeypatch.setattr(mg_module, "apply_operator", counting)
+    # degree + 1 on every smoothed level, Galerkin ones (27-point in 3D)
+    # and rediscretized ones, 2D and 3D
+    counts = _counting_apply_operator(monkeypatch)
     rng = np.random.default_rng(10)
-    for idx, level in enumerate(mg.levels[:-1]):
-        counts["n"] = 0
-        mg.smooth(idx, level.pad(rng.standard_normal(level.shape)),
-                  np.zeros(level.padded_shape))
-        assert counts["n"] == spec.degree + 1, idx
+    for coarse_mode, (dimension, n), degree in itertools.product(
+            (GALERKIN, REDISCRETIZED), ((2, 31), (3, 15)), (0, 3)):
+        spec = SmootherSpec(CHEBYSHEV, degree, 0.5, 2.0)
+        mg = Multigrid(CycleSpec(kind="v", k=1, smoother=spec,
+                                 coarse_mode=coarse_mode), n, dimension)
+        for idx, level in enumerate(mg.levels[:-1]):
+            counts["n"] = 0
+            mg.smooth(idx, level.pad(rng.standard_normal(level.shape)),
+                      np.zeros(level.padded_shape))
+            assert counts["n"] == spec.degree + 1, (coarse_mode, dimension,
+                                                    degree, idx)
 
 
 @pytest.mark.parametrize("coarse_mode", [REDISCRETIZED, GALERKIN])
@@ -447,13 +473,76 @@ def test_smooth_and_cycle_leave_inputs_unmodified(coarse_mode):
         f_in, u_in = f.copy(), u.copy()
         got = mg.smooth(idx, f, u)
         assert np.array_equal(f, f_in) and np.array_equal(u, u_in)
-        want = u + _apply_polynomial(level, CHEB, JACOBI,
-                                     f - apply_operator(level, u))
+        want = unfused_smooth(level, CHEB, JACOBI, f, u)
         assert np.array_equal(got, want), idx
     f, u = rng.standard_normal((2,) + mg.shape)
     f_in, u_in = f.copy(), u.copy()
     mg.cycle(f, u)
     assert np.array_equal(f, f_in) and np.array_equal(u, u_in)
+
+
+def _full_range_fused(level, u, epilogue):
+    """``multigrid._fused`` unblocked: the whole range of a plain
+    ``apply_operator`` handed to the epilogue at once."""
+    lo, hi = level.plan.lo, level.plan.hi
+    epilogue(lo, hi, apply_operator(level, u).ravel()[lo:hi])
+
+
+@pytest.mark.parametrize("preconditioner", [JACOBI, L1_JACOBI])
+@pytest.mark.parametrize("coarse_mode", [REDISCRETIZED, GALERKIN])
+@pytest.mark.parametrize("dimension,n", [(2, 15), (3, 7)], ids=["2d", "3d"])
+def test_fused_smooth_and_cycle_equal_the_unfused_smoother(
+        dimension, n, coarse_mode, preconditioner, monkeypatch):
+    # blocks of any length give the unfused smoother's values bit for bit,
+    # on 15^2, 7^2 and 3^2 (2D) and 7^3 and 3^3 (3D) levels; every 7^2 range
+    # is shorter than a default block.  The cycle is compared against one
+    # whose smooths are the unfused oracle and whose f - A u is unblocked.
+    import polymg.multigrid as mg_module
+
+    rng = np.random.default_rng(12)
+    for family in (CHEBYSHEV, BA1X, SA):
+        for degree in SMOOTH_DEGREES:
+            spec = _spec(family, degree)
+            mg = Multigrid(CycleSpec(kind="v", k=1, smoother=spec,
+                                     preconditioner=preconditioner,
+                                     coarse_mode=coarse_mode), n, dimension)
+            rhs, u0 = rng.standard_normal((2,) + mg.shape)
+            vectors = [[level.pad(v) for v in
+                        rng.standard_normal((2,) + level.shape)]
+                       for level in mg.levels[:-1]]
+            want = [unfused_smooth(level, spec, preconditioner, f, u)
+                    for level, (f, u) in zip(mg.levels, vectors)]
+            with monkeypatch.context() as m:
+                m.setattr(mg_module, "_fused", _full_range_fused)
+                m.setattr(mg, "smooth", lambda idx, f, u: unfused_smooth(
+                    mg.levels[idx], spec, preconditioner, f, u))
+                want_cycle = mg.cycle(rhs, u0)
+            chunks = (1, 7, 61, mg_module.CHUNK) if degree < 4 else \
+                (61, mg_module.CHUNK)  # CHUNK = 1 takes a second at 43
+            for chunk in chunks:
+                monkeypatch.setattr(mg_module, "CHUNK", chunk)
+                case = (family, degree, chunk)
+                for idx, (f, u) in enumerate(vectors):
+                    assert np.array_equal(mg.smooth(idx, f, u), want[idx]), \
+                        case + (idx,)
+                assert np.array_equal(mg.cycle(rhs, u0), want_cycle), case
+            monkeypatch.undo()
+
+
+def test_a_raising_epilogue_leaves_apply_operator_plain():
+    import polymg.multigrid as mg_module
+
+    level = make_grid_level(7, 2)
+    u = level.pad(np.random.default_rng(13).standard_normal(level.shape))
+    want = apply_operator(level, u)
+
+    def epilogue(start, stop, block):
+        raise RuntimeError("epilogue failed")
+
+    with pytest.raises(RuntimeError, match="epilogue failed"):
+        mg_module._fused(level, u, epilogue)
+    assert mg_module._EPILOGUE.get() is None
+    assert np.array_equal(apply_operator(level, u), want)
 
 
 def test_l1_jacobi_galerkin_v_cycle_converges():
