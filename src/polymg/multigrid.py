@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from contextvars import ContextVar, copy_context
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
@@ -61,12 +61,23 @@ _EPILOGUE: ContextVar = ContextVar("epilogue", default=None)
 
 class FlatPlan(NamedTuple):
     """Flat range [lo, hi) of the interior, (coefficient, flat offsets) per
-    coefficient group and the halo points in the range."""
+    coefficient group, the halo points in the range and, per block length,
+    each block's (start, stop, halo points less start)."""
 
     lo: int
     hi: int
     terms: tuple[tuple[float, tuple[int, ...]], ...]
     halo: np.ndarray
+    blocks: dict[int, list[tuple[int, int, np.ndarray]]]
+
+    def split(self, chunk: int) -> list[tuple[int, int, np.ndarray]]:
+        if chunk not in self.blocks:
+            starts = range(self.lo, self.hi, chunk)
+            cuts = np.searchsorted(self.halo, [*starts, self.hi])
+            self.blocks[chunk] = [
+                (s, min(s + chunk, self.hi), self.halo[a:b] - s)
+                for s, a, b in zip(starts, cuts, cuts[1:])]
+        return self.blocks[chunk]
 
 
 @dataclass(frozen=True)
@@ -115,7 +126,7 @@ class GridLevel:
         halo = np.ones(self.padded_shape, dtype=bool)
         self.interior(halo)[...] = False
         return FlatPlan(lo, hi, terms,
-                        lo + np.flatnonzero(halo.ravel()[lo:hi]))
+                        lo + np.flatnonzero(halo.ravel()[lo:hi]), {})
 
 
 @dataclass(frozen=True)
@@ -171,15 +182,14 @@ def apply_operator(level: GridLevel, u: np.ndarray) -> np.ndarray | None:
     if u.shape != level.padded_shape:
         raise ValueError(f"vector shape {u.shape} != padded level shape "
                          f"{level.padded_shape}")
-    lo, hi, terms, halo = level.plan
+    lo, hi, terms, _, _ = plan = level.plan
     src = u.astype(np.result_type(u, 1.0), copy=False).ravel()  # ints: floats
     epilogue = _EPILOGUE.get()
     if epilogue is None:
         out = np.empty_like(src)
         out[:lo] = out[hi:] = 0.0
     block, scratch = np.empty((2, min(CHUNK, hi - lo)), dtype=src.dtype)
-    for start in range(lo, hi, CHUNK):
-        stop = min(start + CHUNK, hi)
+    for start, stop, halo in plan.split(CHUNK):
         dst = out[start:stop] if epilogue is None else block[:stop - start]
         tmp = scratch[:stop - start]
         for i, (c, (first, *rest)) in enumerate(terms):
@@ -194,18 +204,19 @@ def apply_operator(level: GridLevel, u: np.ndarray) -> np.ndarray | None:
                 np.multiply(src[start + first:stop + first], c, out=acc)
             if i:
                 dst += tmp
-        a, b = np.searchsorted(halo, (start, stop))
-        dst[halo[a:b] - start] = 0.0
+        dst[halo] = 0.0
         if epilogue is not None:
             epilogue(start, stop, dst)
     return None if epilogue else out.reshape(level.padded_shape)
 
 
 def _fused(level: GridLevel, u: np.ndarray, epilogue) -> None:
-    """apply_operator(level, u) with ``epilogue`` set in a context copy."""
-    context = copy_context()
-    context.run(_EPILOGUE.set, epilogue)
-    context.run(apply_operator, level, u)
+    """apply_operator(level, u) with ``epilogue`` set, then reset."""
+    token = _EPILOGUE.set(epilogue)
+    try:
+        apply_operator(level, u)
+    finally:
+        _EPILOGUE.reset(token)
 
 
 def assemble_matrix(level: GridLevel) -> "sp.csr_matrix":
