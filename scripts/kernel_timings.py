@@ -6,8 +6,8 @@ table degrees) prints the median milliseconds of one fine-level
 ``apply_operator`` and one fine-level ``Multigrid.smooth``, both on padded
 vectors, and of one V-cycle (``Multigrid.cycle``, interior-shaped).
 The smoother is Chebyshev on [0.25, 2]; operator costs do not depend on
-the interval.  Each kernel runs once untimed (the coarsest LU is factored
-on first use), then repeatedly for at least ``--seconds`` and at least
+the interval.  Each kernel runs once untimed (the coarsest solve is set
+up on first use), then repeatedly for at least ``--seconds`` and at least
 five times.  The last column is the minor page faults per plain
 ``apply_operator``, whose full-size output glibc maps afresh while it is
 above the adaptive mmap threshold (until the process has freed a larger
@@ -15,6 +15,12 @@ array), so each call faults it in again.  A smoothing step allocates no
 full-size A v (its update is fused into the operator's blocks), so only
 the smooth's three work vectors can fault.  The configurations run in a
 fixed order, so every run sees the same allocator history.
+
+A second table times the coarsest layer on the two-grid k = 1 coarsest
+levels 127^2 (255^2 fine, both coarse modes) and 15^3 (31^3 fine,
+Galerkin): the median milliseconds of ``factor_coarsest``, the set-up a
+hierarchy's first cycle pays, and of one interior-shaped solve, with the
+solver's name.
 
 Usage: PYTHONPATH=src python scripts/kernel_timings.py [--seconds 2]
 """
@@ -26,12 +32,14 @@ import time
 
 import numpy as np
 
-from polymg import (CHEBYSHEV, CycleSpec, Multigrid, SmootherSpec,
-                    apply_operator)
-from polymg.multigrid import V_CYCLE
+from polymg import (CHEBYSHEV, GALERKIN, REDISCRETIZED, CycleSpec,
+                    Multigrid, SmootherSpec, apply_operator)
+from polymg.multigrid import TWO_GRID, V_CYCLE, factor_coarsest
 
 #: (dimension, n, k, degree): ROADMAP item 1's V-cycle baselines
 CONFIGS = ((2, 255, 1, 2), (2, 255, 3, 17), (3, 63, 1, 3), (3, 63, 3, 22))
+#: (dimension, fine n, coarse mode) of the two-grid k = 1 coarsest levels
+COARSEST = ((2, 255, REDISCRETIZED), (2, 255, GALERKIN), (3, 31, GALERKIN))
 
 
 def median_ms(fn, seconds: float) -> tuple[float, float]:
@@ -72,6 +80,22 @@ def kernel_rows(seconds: float = SECONDS):
                apply_ms, smooth_ms, cycle_ms, faults)
 
 
+def coarsest_rows(seconds: float = SECONDS):
+    """Yield one row per coarsest level: (label, set-up ms, solve ms,
+    solver name)."""
+    smoother = SmootherSpec(CHEBYSHEV, 2, 0.25, 2.0)
+    for dimension, n, mode in COARSEST:
+        spec = CycleSpec(kind=TWO_GRID, k=1, smoother=smoother,
+                         coarse_mode=mode)
+        level = Multigrid(spec, n, dimension).levels[-1]
+        solver = factor_coarsest(level)
+        f = np.random.default_rng(0).standard_normal(level.shape)
+        (setup_ms, _), (solve_ms, _) = [median_ms(fn, seconds) for fn in (
+            lambda: factor_coarsest(level), lambda: solver.solve(f))]
+        yield (f"{level.shape[0]}^{dimension} {mode}", setup_ms, solve_ms,
+               solver.name)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seconds", type=float, default=SECONDS,
@@ -83,6 +107,10 @@ def main() -> None:
             args.seconds):
         print(f"{label:<22}{apply_ms:>16.3f}{smooth_ms:>10.3f}"
               f"{cycle_ms:>10.3f}{faults:>14.0f}")
+    print(f"\n{'coarsest (median ms)':<22}{'set-up':>10}{'solve':>10}"
+          f"{'solver':>10}")
+    for label, setup_ms, solve_ms, name in coarsest_rows(args.seconds):
+        print(f"{label:<22}{setup_ms:>10.3f}{solve_ms:>10.3f}{name:>10}")
 
 
 if __name__ == "__main__":

@@ -29,6 +29,12 @@ FAMILY_ALIASES = {"cheb": CHEBYSHEV, "chebyshev": CHEBYSHEV,
                   "sa": SA, "ba1x": BA1X, "ba": BA1X}
 
 
+#: the coarse-operator modes and the limit of rediscretization
+COARSE_HELP = ("coarse operator: rediscretized assumes a purely second-order "
+               "stencil whose coefficients sum to 0, since it scales the "
+               "whole stencil by 4^-k; for a zero-order term use galerkin")
+
+
 class CliError(Exception):
     pass
 
@@ -302,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_smoother_flags(p)
     _add_common_flags(p)
     p.add_argument("--coarse", choices=list(COARSE_MODES) + ["both"],
-                   default="both")
+                   default="both", help=COARSE_HELP)
     p.add_argument("--nu1", type=int, default=1)
     p.add_argument("--nu2", type=int, default=0)
     p.set_defaults(func=cmd_two_grid)
@@ -320,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--iterations", type=int, default=100)
     p.add_argument("--coarse", choices=list(COARSE_MODES),
-                   default=REDISCRETIZED)
+                   default=REDISCRETIZED, help=COARSE_HELP)
     p.add_argument("--history", help="write per-iteration ratios as CSV")
     p.set_defaults(func=cmd_solve)
 
@@ -332,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=["twogrid", "degree"],
                    required=True)
     p.add_argument("--coarse", choices=list(COARSE_MODES),
-                   default=REDISCRETIZED)
+                   default=REDISCRETIZED, help=COARSE_HELP)
     p.add_argument("--nu1", type=int, default=1)
     p.add_argument("--nu2", type=int, default=0)
     p.add_argument("--rho", type=float, help="target damping (degree objective)")

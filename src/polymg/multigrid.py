@@ -6,8 +6,11 @@ on triangular grids), 2^k coarsening with the nested hat of
 per factor; restriction is the adjoint scaled by 2^{-kd}.
 Every level, Galerkin coarse levels included, is a stencil applied
 matrix-free with one multiply per distinct coefficient, which rounds
-differently from the entry-by-entry sum in the last bits; only the
-coarsest is assembled, for its LU.  Smoothers run the recurrence
+differently from the entry-by-entry sum in the last bits.  The coarsest
+level is solved exactly (``factor_coarsest``): in the discrete sine basis,
+which diagonalizes the Dirichlet operator of an axis-even stencil (every
+finite-difference level, rediscretized or Galerkin), and otherwise by
+SuperLU on its assembled matrix.  Smoothers run the recurrence
 of ``polynomials.apply_q`` with X = R0 A, the coefficients and update the
 Fourier symbols use, so a degree-m polynomial costs m operator
 applications (m + 1 per smoothing step with its residual).
@@ -34,11 +37,12 @@ interior-shaped arrays.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, lru_cache, partial
-from typing import NamedTuple
+from functools import cached_property, lru_cache, partial, reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -220,7 +224,8 @@ def _fused(level: GridLevel, u: np.ndarray, epilogue) -> None:
 
 
 def assemble_matrix(level: GridLevel) -> "sp.csr_matrix":
-    """Sparse matrix of the level operator (coarsest LU, Galerkin probe)."""
+    """Sparse matrix of the level operator (SuperLU's coarsest solve of a
+    stencil that is not axis-even, the Galerkin probe)."""
     import scipy.sparse as sp
     shape = level.shape
     size = int(np.prod(shape))
@@ -245,16 +250,85 @@ def splu(a, **options):
     return scipy_splu(a, **options)
 
 
-def factor_coarsest(level: GridLevel):
-    """Sparse LU of the level's matrix, for the exact coarsest solve.
+class CoarseSolver(NamedTuple):
+    """An exact coarsest solve: ``solve(f)`` is A^{-1} f in f's shape
+    (interior-shaped or flat); ``name`` is "sine" or "superlu"."""
+
+    name: str
+    solve: Callable[[np.ndarray], np.ndarray]
+
+
+def is_axis_even(stencil: Stencil) -> bool:
+    """Every offset negated on any one axis carries the ``==`` coefficient."""
+    table = dict(zip(stencil.offsets, stencil.coefficients))
+    return all(table.get(o[:a] + (-o[a],) + o[a + 1:], 0.0) == c
+               for o, c in table.items() for a in range(len(o)))
+
+
+def sine_solve(level: GridLevel) -> Callable[[np.ndarray], np.ndarray]:
+    """A^{-1} f = Q (Q f / lambda) for an axis-even stencil.
+
+    The sine basis diagonalizes its Dirichlet operator: Q is the
+    orthonormal DST-I, sqrt(2/(n+1)) sin(pi j l/(n+1)), on every axis (its
+    own inverse), and lambda_j = sum_o c_o prod_a cos(o_a theta_{j_a}),
+    theta_j = pi j/(n+1).  Summed as sum_S b_S prod_{a in S} s_a with
+    s = 1 - cos, b_S the exactly rounded sum of the c_o that move along
+    every axis of S times (-1)^|S|, the smallest lambda does not cancel
+    against the centre.  s is 2 sin^2(theta/2) below pi/2 and exactly 1 at
+    pi/2, so a 1^d level's lambda is its centre coefficient.  Each axis is
+    one matrix product on a 2-D reshape whose transpose brings the next
+    axis first; ``ndarray.dot`` is the cheapest such call on tiny levels.
+    """
+    shape, entries = level.shape, list(zip(level.stencil.offsets,
+                                           level.stencil.coefficients))
+    q, s = {}, {}
+    for n in set(shape):
+        j = np.arange(1, n + 1)
+        q[n] = np.sqrt(2.0 / (n + 1)) * np.sin(
+            np.pi * (np.outer(j, j) % (2 * n + 2)) / (n + 1))
+        s[n] = np.where(2 * j < n + 1,
+                        2.0 * np.sin(np.pi * j / (2 * n + 2)) ** 2,
+                        1.0 + np.sin(np.pi * (2 * j - n - 1) / (2 * n + 2)))
+    lam = 0.0
+    for moves in itertools.product((False, True), repeat=len(shape)):
+        b = math.fsum(c for o, c in entries
+                      if all(x or not m for x, m in zip(o, moves)))
+        lam = lam + reduce(np.multiply, np.ix_(*(
+            s[n] if m else np.ones(n) for n, m in zip(shape, moves))),
+            -b if sum(moves) % 2 else b)
+    if zeros := np.argwhere(lam == 0.0).tolist():
+        raise ValueError(f"coarsest {shape} operator is singular: eigenvalue "
+                         f"0 at sine mode {tuple(j + 1 for j in zeros[0])}")
+    lam = lam.reshape(-1, shape[-1])  # the layout after d transforms
+    axes = [q[n] for n in shape]
+
+    def solve(f: np.ndarray) -> np.ndarray:
+        x = f
+        for qa in axes:
+            x = qa.dot(x.reshape(len(qa), -1)).T
+        x = x / lam
+        for qa in axes:
+            x = qa.dot(x.reshape(len(qa), -1)).T
+        return x.reshape(f.shape)
+
+    return solve
+
+
+def factor_coarsest(level: GridLevel) -> CoarseSolver:
+    """The exact coarsest solve: in the sine basis if the stencil is axis-
+    even, else a sparse LU of the level's matrix.
 
     A stencil with a symmetric offset set gives a structurally symmetric
     matrix, so SuperLU's symmetric mode with a minimum-degree ordering of
     A^T + A fills in less than its default column ordering; the default
     threshold pivoting still factors non-symmetric stencils.
     """
-    return splu(assemble_matrix(level).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                options=dict(SymmetricMode=True))
+    if is_axis_even(level.stencil):
+        return CoarseSolver("sine", sine_solve(level))
+    lu = splu(assemble_matrix(level).tocsc(), permc_spec="MMD_AT_PLUS_A",
+              options=dict(SymmetricMode=True))
+    return CoarseSolver(
+        "superlu", lambda f: lu.solve(f.ravel()).reshape(f.shape))
 
 
 @lru_cache(maxsize=32)
@@ -359,11 +433,18 @@ class Multigrid:
         if len(self.levels) < 2:
             raise ValueError(
                 f"cannot coarsen a {n}^{dimension} grid by 2^{spec.k}")
-        self._lu = None  # of the coarsest level, factored on first use
+        self._coarse_solver = None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.levels[0].shape
+
+    @property
+    def coarse_solver(self) -> CoarseSolver:
+        """The coarsest level's exact solve, built on first use."""
+        if self._coarse_solver is None:
+            self._coarse_solver = factor_coarsest(self.levels[-1])
+        return self._coarse_solver
 
     def smooth(self, idx: int, f: np.ndarray, u: np.ndarray) -> np.ndarray:
         """u + R (f - A u) on padded vectors of level ``idx``: ``apply_q``
@@ -399,10 +480,7 @@ class Multigrid:
     def _cycle(self, idx: int, f: np.ndarray, u: np.ndarray) -> np.ndarray:
         level = self.levels[idx]
         if idx == len(self.levels) - 1:
-            if self._lu is None:
-                self._lu = factor_coarsest(level)
-            x = self._lu.solve(level.interior(f).ravel())
-            return level.pad(x.reshape(level.shape))
+            return level.pad(self.coarse_solver.solve(level.interior(f)))
         for _ in range(self.spec.pre):
             u = self.smooth(idx, f, u)
         r, f_ = np.empty(f.size), f.reshape(-1)  # f - A u on the flat range
@@ -448,6 +526,8 @@ class RateReport:
     spec: dict | None = None
     seconds: float = 0.0  # wall time of the cycle loop
     tail_log_spread: float | None = None  # max - min of the logs rate averages
+    coarsest_solver: str = ""  # CoarseSolver.name: "sine" or "superlu"
+    coarsest_shape: str = ""  # the coarsest level's extents, as "15x15"
     ratios: list[float] = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
@@ -489,4 +569,6 @@ def measure_asymptotic_rate(spec: CycleSpec, n: int, dimension: int = 2,
     return RateReport(rate=float(np.exp(np.mean(logs))), ratios=ratios,
                       iterations=iterations, seed=seed, n=n,
                       dimension=dimension, spec=spec.to_dict(),
-                      seconds=seconds, tail_log_spread=spread)
+                      seconds=seconds, tail_log_spread=spread,
+                      coarsest_solver=mg.coarse_solver.name,
+                      coarsest_shape="x".join(map(str, mg.levels[-1].shape)))

@@ -153,8 +153,25 @@ def test_solve_reports_loop_time_and_tail_spread(capsys):
     assert report["tail_log_spread"] >= 0.0
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("flags,solver,shape", [
+    (("--stencil", "fd2d", "--lambda0", "0.5"), "sine", "15x15"),
+    (("--stencil", "tri", "--preset", "equilateral"), "superlu", "15x15")],
+    ids=["fd2d", "equilateral"])
+def test_solve_reports_coarsest_solver_and_shape(capsys, flags, solver, shape,
+                                                 fmt):
+    code, out, err = run_cli(
+        capsys, "solve", *flags, "--cycle", "tg", "--pre", "1", "--post",
+        "0", "--k", "1", "--family", "cheb", "--degree", "2", "--n", "31",
+        "--iterations", "30", "--format", fmt)
+    assert code == 0, err
+    report = json.loads(out) if fmt == "json" else _csv_row(out)
+    assert report["coarsest_solver"] == solver
+    assert report["coarsest_shape"] == shape
+
+
 def test_lfa_paths_leave_scipy_sparse_unimported():
-    # SciPy is imported by the coarsest LU and the Galerkin probe only
+    # SciPy is imported by SuperLU and the Galerkin probe only
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     code = ("import sys, polymg; before = 'scipy.sparse' in sys.modules; "

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.sparse.linalg import splu as sla_splu
 
 from polymg import (BA1X, CHEBYSHEV, GALERKIN, JACOBI, L1_JACOBI,
                     REDISCRETIZED, SA, CycleSpec, Multigrid, SmootherSpec,
@@ -17,7 +18,7 @@ from polymg import (BA1X, CHEBYSHEV, GALERKIN, JACOBI, L1_JACOBI,
                     rectangular, restrict, rho_two_grid, triangular)
 from polymg.multigrid import (GridLevel, assemble_matrix,
                               factor_coarsest, galerkin_stencil,
-                              prolongation_matrix)
+                              is_axis_even, prolongation_matrix)
 from polymg.stencils import transfer_table
 from polymg.tables import (DOCUMENTED_DISCREPANCIES, LAMBDA1_EQUILATERAL,
                            LAMBDA1_ISOSCELES, TRI_DEGREES, TRI_PRESETS)
@@ -615,8 +616,9 @@ UPWIND = Stencil(geometry=FD2_GEOMETRY,
     (None, 2, 63), (UPWIND, 2, 63), (None, 3, 15)],
     ids=["laplace-2d", "upwind-2d", "laplace-3d"])
 def test_coarsest_solve_on_every_coarse_level(stencil, dimension, n, mode):
-    # the symmetric-mode ordering keeps pivoting: each level, made the
-    # coarsest in turn, is solved to rounding, the upwind one included
+    # each level, made the coarsest in turn, is solved to rounding: the
+    # Laplacians in the sine basis, the upwind one by SuperLU, whose
+    # symmetric-mode ordering keeps pivoting
     spec = CycleSpec(kind="v", k=1, smoother=CHEB, coarse_mode=mode)
     depth = len(Multigrid(spec, n, dimension, stencil=stencil).levels)
     rng = np.random.default_rng(3)
@@ -636,9 +638,99 @@ def test_coarsest_solve_on_every_coarse_level(stencil, dimension, n, mode):
         assert np.array_equal(x, u.ravel())
 
 
+def _coarsest_candidates() -> list[GridLevel]:
+    """Every distinct level below the finest of the FD hierarchies, both
+    coarse modes, k = 1..3; ``levels`` makes each one the coarsest."""
+    found = {}
+    for (dimension, n), k, mode in itertools.product(
+            ((2, 255), (3, 31)), (1, 2, 3), (REDISCRETIZED, GALERKIN)):
+        spec = CycleSpec(kind="v", k=k, smoother=CHEB, coarse_mode=mode)
+        for level in Multigrid(spec, n, dimension).levels[1:]:
+            found.setdefault((level.shape, level.stencil), level)
+    return list(found.values())
+
+
+def test_sine_solve_matches_sparse_lu_on_every_fd_coarsest_level():
+    rng = np.random.default_rng(5)
+    shapes = set()
+    for level in _coarsest_candidates():
+        solver = factor_coarsest(level)
+        assert solver.name == "sine"
+        f = rng.standard_normal(level.shape)
+        want = sla_splu(assemble_matrix(level).tocsc()).solve(f.ravel())
+        got = solver.solve(f)
+        assert got.shape == level.shape
+        assert (np.max(np.abs(got.ravel() - want))
+                <= 1e-13 * np.max(np.abs(want)))
+        assert np.array_equal(solver.solve(f.ravel()), got.ravel())
+        shapes.add(level.shape)
+    assert shapes == ({(n, n) for n in (1, 3, 7, 15, 31, 63, 127)}
+                      | {(n, n, n) for n in (1, 3, 7, 15)})
+
+
+#: a 5-point Laplacian whose (1, 0) coefficient is one ulp off (-1, 0)'s
+LAST_BIT = Stencil(geometry=FD2_GEOMETRY,
+                   offsets=((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)),
+                   coefficients=(4.0, np.nextafter(-1.0, 0.0), -1.0, -1.0,
+                                 -1.0))
+
+
+@pytest.mark.parametrize("stencil", [
+    build_fem_tri_laplace(*TRI_PRESETS["isosceles-80"]),
+    build_fem_tri_laplace(*TRI_PRESETS["equilateral"]), UPWIND, LAST_BIT],
+    ids=["isosceles-80", "equilateral", "upwind", "last-bit"])
+def test_stencils_that_are_not_axis_even_go_to_superlu(stencil):
+    level = GridLevel((7, 7), stencil)
+    assert not is_axis_even(stencil)
+    solver = factor_coarsest(level)
+    assert solver.name == "superlu"
+    f = np.random.default_rng(6).standard_normal(level.shape)
+    u = solver.solve(f)
+    assert u.shape == level.shape
+    assert np.allclose(apply_interior(level, u), f, rtol=0, atol=1e-12)
+
+
+def test_zero_sine_eigenvalue_names_its_mode():
+    # lambda = b s_0 - s_1 on 5^2: the mode (2, 3) has s_1 = 1 exactly and
+    # b s_0 rounds to 1, so its eigenvalue is exactly 0
+    n = 5
+    s0 = 2.0 * np.sin(np.pi * 2 / (2 * n + 2)) ** 2
+    b = 1.0 / s0
+    assert b * s0 == 1.0
+    stencil = Stencil(geometry=FD2_GEOMETRY,
+                      offsets=((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)),
+                      coefficients=(b - 1.0, -b / 2, -b / 2, 0.5, 0.5))
+    with pytest.raises(ValueError, match=r"sine mode \(2, 3\)"):
+        factor_coarsest(GridLevel((n, n), stencil))
+
+
+def _python(code: str, **env: str) -> str:
+    """Stdout of ``python -c code`` with this checkout's src on the path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    return subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, env=dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))).stdout
+
+
+def test_rediscretized_fd_cycles_leave_scipy_unimported():
+    # the sine-basis coarsest solve needs NumPy only
+    code = ("import sys; from polymg import *; spec = CycleSpec(kind='v', "
+            "k=1, smoother=SmootherSpec(CHEBYSHEV, 2, 0.5, 2.0)); "
+            "[measure_asymptotic_rate(spec, n, d, iterations=30) "
+            "for n, d in ((63, 2), (15, 3))]; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert _python(code).split() == ["[]"]
+
+
 #: A-norm ratios 0, 1, 9 and 29 of measure_asymptotic_rate(iterations=30),
 #: as float.hex; the cycles are bit-identical to the interior-shaped solver
-#: before vectors were padded, the A-norm is NumPy's pairwise sum
+#: before vectors were padded, the A-norm is NumPy's pairwise sum.  The
+#: coarsest levels are solved in the sine basis: the two-grid (15^2) and
+#: W (3^2) entries were frozen from that solve, which moved them by at most
+#: 1.3e-15 relative from the sparse LU's; on the 1^3 level of the V entry
+#: Q = 1 and lambda is the centre coefficient, as in the LU
 FROZEN_RATIOS = {
     "v-k3-15^3": (
         CycleSpec(kind="v", k=3,
@@ -649,29 +741,23 @@ FROZEN_RATIOS = {
         CycleSpec(kind="w", k=2, smoother=SmootherSpec(BA1X, 6, 0.146, 2.0),
                   coarse_mode=GALERKIN),
         63, 2, ("0x1.029c466ed4e16p-6", "0x1.001d7ffb01fb8p-5",
-                "0x1.74d6063e95565p-5", "0x1.c3e1b202dbc74p-5")),
+                "0x1.74d6063e95566p-5", "0x1.c3e1b202dbc75p-5")),
     "two-grid-k1-31^2": (
         CycleSpec(kind="two-grid", k=1, smoother=CHEB, pre=1, post=0),
-        31, 2, ("0x1.e839648b6cda7p-5", "0x1.f1e57fb7a0fc2p-5",
-                "0x1.dc9f906929470p-4", "0x1.f925d2aaf7b95p-4")),
+        31, 2, ("0x1.e839648b6cda7p-5", "0x1.f1e57fb7a0fbcp-5",
+                "0x1.dc9f906929466p-4", "0x1.f925d2aaf7b8ap-4")),
 }
 
 
 def test_a_norm_ratios_do_not_depend_on_blas_threads():
     # a BLAS dot product splits its sum by the thread count, which moved
     # most of these ratios in the last bits; the A-norm's sum does not
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
     code = ("from polymg import *; print(*(r.hex() for r in "
             "measure_asymptotic_rate(CycleSpec(kind='v', k=1, smoother="
             "SmootherSpec(CHEBYSHEV, 2, 0.5, 2.0)), 127, 2, iterations=30"
             ").ratios))")
-    runs = [subprocess.run(
-        [sys.executable, "-c", code], check=True, capture_output=True,
-        text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                            PYTHONPATH=os.pathsep.join(filter(None, [
-                                src, os.environ.get("PYTHONPATH")])))
-    ).stdout.split() for threads in ("1", "2")]
+    runs = [_python(code, OPENBLAS_NUM_THREADS=threads).split()
+            for threads in ("1", "2")]
     assert len(runs[0]) == 30 and runs[0] == runs[1]
 
 
