@@ -5,7 +5,9 @@ and of the LFA-only table cells and lambda bounds.
 For each ``vcycle`` and ``twogrid`` hierarchy of ``perfbench/workloads.py``
 runs ``measure_asymptotic_rate`` at the golden seed and length and prints
 the largest absolute difference from a reference and the number of ratios
-that are not ``==`` to it.  It does the same for the computed cells of the
+that are not ``==`` to it.  It does the same for the four triangular
+Galerkin two-grid hierarchies of the triangular rate tests (127^2, 60
+iterations; ``golden.json`` has none), for the computed cells of the
 seven tables without experiments (``reproduce_table(i,
 experiments=False)``) and for ``lambda_bounds`` of the built-in stencils,
 both preconditioners and k = 1..3.  The reference is
@@ -27,11 +29,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from polymg.multigrid import measure_asymptotic_rate  # noqa: E402
+from polymg.lfa import GALERKIN  # noqa: E402
+from polymg.multigrid import CycleSpec, measure_asymptotic_rate  # noqa: E402
+from polymg.polynomials import BA1X, CHEBYSHEV, SmootherSpec  # noqa: E402
 from polymg.stencils import (  # noqa: E402
     build_fd_laplace, build_fem_tri_laplace, rectangular)
-from polymg.symbols import PRECONDITIONERS, lambda_bounds  # noqa: E402
-from polymg.tables import TRI_PRESETS, reproduce_table  # noqa: E402
+from polymg.symbols import JACOBI, PRECONDITIONERS, lambda_bounds  # noqa: E402
+from polymg.tables import (  # noqa: E402
+    LAMBDA1_EQUILATERAL, LAMBDA1_ISOSCELES, TRI_DEGREES, TRI_PRESETS,
+    reproduce_table)
 from workloads import (  # noqa: E402
     DEFAULT_SEED, GOLDEN_ITERATIONS, twogrid_plan, vcycle_plan)
 
@@ -39,10 +45,14 @@ BUILT_IN = {"fd2d": build_fd_laplace(rectangular(1.0, 2)),
             "fd3d": build_fd_laplace(rectangular(1.0, 3)),
             **{name: build_fem_tri_laplace(*angles)
                for name, angles in TRI_PRESETS.items()}}
+#: (preset, k, family) of the triangular two-grid (1, 0) hierarchies
+TRIANGULAR = (("equilateral", 3, BA1X), ("isosceles-80", 2, BA1X),
+              ("isosceles-80", 3, BA1X), ("equilateral", 1, CHEBYSHEV))
 
 
 def ratio_sequences():
-    """(keys, label, A-norm ratios) of every benchmark hierarchy."""
+    """(keys, label, A-norm ratios) of every benchmark hierarchy and of
+    the triangular ones."""
     for workload, plan in (("vcycle", vcycle_plan), ("twogrid", twogrid_plan)):
         for group in plan():
             for h in group.members:
@@ -50,6 +60,17 @@ def ratio_sequences():
                     h.spec, h.n, h.dimension,
                     iterations=GOLDEN_ITERATIONS[h.dimension],
                     seed=DEFAULT_SEED).ratios
+    for preset, k, family in TRIANGULAR:
+        stencil = BUILT_IN[preset]
+        lam1 = (LAMBDA1_EQUILATERAL if preset == "equilateral"
+                else LAMBDA1_ISOSCELES)
+        smoother = SmootherSpec(family, TRI_DEGREES[preset][k],
+                                lambda_bounds(stencil, JACOBI, k)[0], lam1)
+        spec = CycleSpec(kind="two-grid", k=k, smoother=smoother, pre=1,
+                         post=0, coarse_mode=GALERKIN)
+        yield ("triangular", "ratios"), f"{preset} k={k} {family}", \
+            measure_asymptotic_rate(spec, 127, 2, iterations=60,
+                                    seed=DEFAULT_SEED, stencil=stencil).ratios
 
 
 def lfa_values():
@@ -88,11 +109,11 @@ def main() -> int:
         for key in keys:
             mine, ref = mine.setdefault(key, {}), ref.get(key, {})
         mine[label] = got = [None if v is None else float(v) for v in got]
-        if label not in ref:  # golden.json holds no LFA values
+        if label not in ref:  # golden.json: no LFA or triangular values
             print(f"{keys[0]:14}{label:44}no reference", flush=True)
             continue
         unequal, drift = compare(got, ref[label])
-        differing[keys[-1]] = differing.get(keys[-1], 0) + unequal
+        differing[keys[0]] = differing.get(keys[0], 0) + unequal
         print(f"{keys[0]:14}{label:44}drift {drift:.3e}  "
               f"unequal {unequal}/{len(ref[label])}", flush=True)
     if args.save:

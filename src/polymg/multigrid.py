@@ -3,15 +3,16 @@
 Dirichlet boundary, 2^p - 1 interior points per axis (lattice coordinates
 on triangular grids), 2^k coarsening with the nested hat of
 ``stencils.transfer_factors`` that the LFA analyses, one polyphase pass
-per factor; restriction is the adjoint scaled by 2^{-kd}.
-Every level, Galerkin coarse levels included, is a stencil applied
-matrix-free with one multiply per distinct coefficient, which rounds
-differently from the entry-by-entry sum in the last bits.  The coarsest
-level is solved exactly (``factor_coarsest``): in the discrete sine basis,
-which diagonalizes the Dirichlet operator of an axis-even stencil (every
+per factor; restriction is the adjoint scaled by 2^{-kd}.  A Galerkin
+coarse stencil is R A P of one coarse hat (``galerkin_stencil``).  Every
+level, Galerkin coarse levels included, is a stencil applied matrix-free
+with one multiply per distinct coefficient, which rounds differently from
+the entry-by-entry sum in the last bits.  The coarsest level is solved
+exactly (``factor_coarsest``): in the discrete sine basis, which
+diagonalizes the Dirichlet operator of an axis-even stencil (every
 finite-difference level, rediscretized or Galerkin), and otherwise by
-SuperLU on its assembled matrix.  Smoothers run the recurrence
-of ``polynomials.apply_q`` with X = R0 A, the coefficients and update the
+SuperLU on its assembled matrix.  Smoothers run the recurrence of
+``polynomials.apply_q`` with X = R0 A, the coefficients and update the
 Fourier symbols use, so a degree-m polynomial costs m operator
 applications (m + 1 per smoothing step with its residual).
 
@@ -224,8 +225,8 @@ def _fused(level: GridLevel, u: np.ndarray, epilogue) -> None:
 
 
 def assemble_matrix(level: GridLevel) -> "sp.csr_matrix":
-    """Sparse matrix of the level operator (SuperLU's coarsest solve of a
-    stencil that is not axis-even, the Galerkin probe)."""
+    """Sparse matrix of the level operator, for SuperLU's coarsest solve of
+    a stencil that is not axis-even."""
     import scipy.sparse as sp
     shape = level.shape
     size = int(np.prod(shape))
@@ -379,8 +380,9 @@ def restrict(fine: np.ndarray, k: int, geometry: GridGeometry) -> np.ndarray:
 
 def prolongation_matrix(coarse_shape: tuple[int, ...], k: int,
                         geometry: GridGeometry) -> "sp.csr_matrix":
-    """Sparse interpolation matrix of a small grid (the Galerkin probe):
-    ``prolongate`` of every coarse unit vector, one column each."""
+    """Sparse interpolation matrix, ``prolongate`` of every coarse unit
+    vector: unused by the package, a transfer-test oracle that the
+    benchmark's tracer still looks up by name."""
     import scipy.sparse as sp
     size = int(np.prod(coarse_shape))
     columns = np.eye(size).reshape(tuple(coarse_shape) + (size,))
@@ -388,19 +390,19 @@ def prolongation_matrix(coarse_shape: tuple[int, ...], k: int,
 
 
 def galerkin_stencil(stencil: Stencil, k: int) -> Stencil:
-    """Stencil of P^T A P / 2^{kd}: the centre row on a 3^d coarse probe grid.
-
-    Every coarse hat lies inside the fine interior and A couples only
-    neighbours, so the full-grid Galerkin matrix is this stencil truncated
-    at the Dirichlet boundary.
+    """Stencil of R A P: ``restrict``, ``apply_operator`` and ``prolongate``
+    of the centre hat of a 3^d coarse grid.  Every coarse hat lies inside
+    the fine interior and A couples only neighbours, so this column is the
+    full-grid Galerkin operator's; offset o's coefficient is its entry 1 - o.
     """
-    d, m = stencil.geometry.dimension, 2**k
-    p = prolongation_matrix((3,) * d, k, stencil.geometry)
-    probe = assemble_matrix(GridLevel((4 * m - 1,) * d, stencil))
-    row = ((p.T @ probe @ p)[3**d // 2] / float(m**d)).toarray().ravel()
+    d, m, geometry = stencil.geometry.dimension, 2**k, stencil.geometry
+    fine = GridLevel((4 * m - 1,) * d, stencil)
+    hat = prolongate(np.pad(np.ones((1,) * d), 1), k, geometry)
+    column = restrict(fine.interior(apply_operator(fine, fine.pad(hat))), k,
+                      geometry)
     offsets, coefficients = zip(*(
-        (o, float(c)) for o, c in
-        zip(itertools.product((-1, 0, 1), repeat=d), row) if c != 0.0))
+        (o, float(c)) for o in itertools.product((-1, 0, 1), repeat=d)
+        if (c := column[tuple(1 - x for x in o)]) != 0.0))
     return Stencil(geometry=stencil.with_mesh_width(m).geometry,
                    offsets=offsets, coefficients=coefficients)
 

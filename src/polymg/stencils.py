@@ -222,10 +222,6 @@ class Stencil:
         return Stencil(geometry=geometry, offsets=offsets,
                        coefficients=coefficients)
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-
     @staticmethod
     def load(path: str) -> "Stencil":
         with open(path) as f:

@@ -102,7 +102,8 @@ def test_two_grid_both_modes(capsys):
 
 def test_stencil_file_round_trip(tmp_path, capsys):
     path = tmp_path / "iso.json"
-    build_fem_tri_laplace(4 * math.pi / 9, 4 * math.pi / 9).save(path)
+    path.write_text(json.dumps(
+        build_fem_tri_laplace(4 * math.pi / 9, 4 * math.pi / 9).to_dict()))
     code, out, _ = run_cli(
         capsys, "smoothing-factor", "--stencil-file", str(path), "--k", "1",
         "--family", "cheb", "--degree", "8")
@@ -171,7 +172,7 @@ def test_solve_reports_coarsest_solver_and_shape(capsys, flags, solver, shape,
 
 
 def test_lfa_paths_leave_scipy_sparse_unimported():
-    # SciPy is imported by SuperLU and the Galerkin probe only
+    # SciPy is imported by SuperLU only
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     code = ("import sys, polymg; before = 'scipy.sparse' in sys.modules; "
@@ -699,3 +700,15 @@ def test_fuzz_mutated_stencil_file_two_grid(fuzz_path, document):
     # redraws keep the polish reached
     _check_stencil_file(fuzz_path, document, "two-grid", "--k", "1",
                         "--coarse", "both")
+
+
+@pytest.mark.parametrize("mode", ["galerkin", "rediscretized"])
+@pytest.mark.parametrize("cycle", ["tg", "v", "w"])
+@settings(max_examples=60, deadline=None)
+@given(document=mutated_documents() | symmetric_documents())
+def test_fuzz_mutated_stencil_file_solve(fuzz_path, cycle, mode, document):
+    # small hierarchies of every cycle shape, Galerkin stencils and SuperLU
+    # coarsest levels included, built from whatever the file holds
+    _check_stencil_file(fuzz_path, document, "solve", "--n", "15",
+                        "--iterations", "30", "--cycle", cycle,
+                        "--coarse", mode)

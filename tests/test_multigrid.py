@@ -34,6 +34,11 @@ CHEB = SmootherSpec(CHEBYSHEV, 2, 0.5, 2.0)
 FD2_GEOMETRY = rectangular(1.0, 2)
 EQUILATERAL = triangular(math.pi / 3, math.pi / 3)
 
+#: a non-symmetric (upwinded) 5-point stencil
+UPWIND = Stencil(geometry=FD2_GEOMETRY,
+                 offsets=((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)),
+                 coefficients=(5.0, -1.0, -2.0, -1.0, -1.0))
+
 
 def test_apply_operator_zero():
     level = make_grid_level(9, 2)
@@ -408,11 +413,16 @@ def test_cycle_spec_needs_two_levels(levels):
         CycleSpec(kind="v", k=1, smoother=CHEB, levels=levels)
 
 
-@pytest.mark.parametrize("dimension,n,k", [
-    (2, 255, 1), (2, 255, 2), (2, 255, 3), (3, 63, 1), (3, 63, 2)])
-def test_galerkin_levels_match_full_grid_products(dimension, n, k):
+@pytest.mark.parametrize("stencil,dimension,n,k", [
+    (None, 2, 255, 1), (None, 2, 255, 2), (None, 2, 255, 3),
+    (None, 3, 63, 1), (None, 3, 63, 2), (UPWIND, 2, 255, 1),
+    (UPWIND, 2, 255, 2)], ids=["2-255-1", "2-255-2", "2-255-3", "3-63-1",
+                               "3-63-2", "upwind-2-255-1", "upwind-2-255-2"])
+def test_galerkin_levels_match_full_grid_products(stencil, dimension, n, k):
+    # UPWIND is not symmetric: a coarse stencil read with its rows and
+    # columns swapped fails on it
     spec = CycleSpec(kind="v", k=k, smoother=CHEB, coarse_mode=GALERKIN)
-    mg = Multigrid(spec, n, dimension)
+    mg = Multigrid(spec, n, dimension, stencil=stencil)
     want = galerkin_matrices(assemble_matrix(mg.levels[0]), k,
                              [level.shape for level in mg.levels[1:]])
     for level, a in zip(mg.levels[1:], want[1:]):
@@ -605,12 +615,6 @@ def test_triangular_two_grid_rate_matches_lfa(case):
     assert report.rate == pytest.approx(lfa, abs=5e-3)
 
 
-#: a non-symmetric (upwinded) 5-point stencil
-UPWIND = Stencil(geometry=FD2_GEOMETRY,
-                 offsets=((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)),
-                 coefficients=(5.0, -1.0, -2.0, -1.0, -1.0))
-
-
 @pytest.mark.parametrize("mode", [REDISCRETIZED, GALERKIN])
 @pytest.mark.parametrize("stencil,dimension,n", [
     (None, 2, 63), (UPWIND, 2, 63), (None, 3, 15)],
@@ -714,11 +718,14 @@ def _python(code: str, **env: str) -> str:
             filter(None, [src, os.environ.get("PYTHONPATH")])))).stdout
 
 
-def test_rediscretized_fd_cycles_leave_scipy_unimported():
-    # the sine-basis coarsest solve needs NumPy only
-    code = ("import sys; from polymg import *; spec = CycleSpec(kind='v', "
-            "k=1, smoother=SmootherSpec(CHEBYSHEV, 2, 0.5, 2.0)); "
-            "[measure_asymptotic_rate(spec, n, d, iterations=30) "
+def test_fd_cycles_leave_scipy_unimported():
+    # the sine-basis coarsest solve and the matrix-free Galerkin stencils
+    # need NumPy only
+    code = ("import sys; from polymg import *; cheb = SmootherSpec("
+            "CHEBYSHEV, 2, 0.5, 2.0); [measure_asymptotic_rate(CycleSpec("
+            "kind=kind, k=1, smoother=cheb, coarse_mode=mode), n, d, "
+            "iterations=30) for kind, mode in (('v', REDISCRETIZED), "
+            "('v', GALERKIN), ('two-grid', GALERKIN)) "
             "for n, d in ((63, 2), (15, 3))]; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     assert _python(code).split() == ["[]"]

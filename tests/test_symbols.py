@@ -292,7 +292,7 @@ def test_polish_max_matches_scipy(name, kind):
 
 
 def test_import_leaves_scipy_optimize_out():
-    # the package needs only scipy.sparse; the optimizers are test oracles
+    # only SuperLU loads scipy.sparse; the optimizers are test oracles
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
