@@ -12,7 +12,8 @@ describes that checkout.  Its keys:
   model, caches, Python, NumPy, SciPy, BLAS and its thread count, commit).
 * ``lfa_tables_s``: per table 1..7, the median and every wall time of
   ``reproduce_table(i, experiments=False)`` over three cold children
-  (the import is not timed).
+  (the import is not timed), and beside them each child's peak resident
+  set (``ru_maxrss``, MB, the import included).
 * ``kernel_timings``: the rows of ``scripts/kernel_timings.py`` at its
   default time budget.
 * ``table2_trace``: calls, total and self seconds of every function that
@@ -36,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -48,7 +50,7 @@ ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 #: cold children per table; the median is reported
 REPEATS = 3
 KERNEL_COLUMNS = ("config", "apply_operator_ms", "smooth_ms", "vcycle_ms",
-                  "faults_per_apply")
+                  "faults_per_apply", "faults_per_smooth", "faults_per_vcycle")
 
 
 def _child(*args: str):
@@ -66,12 +68,16 @@ def measure_machine() -> dict:
     return environment(len(os.sched_getaffinity(0)))
 
 
-def measure_table(index: int, experiments: bool = False) -> float:
+def measure_table(index: int, experiments: bool = False) -> dict:
+    """The wall time of one reproduction and the process's peak resident
+    set."""
     from polymg import tables
 
     t0 = time.perf_counter()
     tables.reproduce_table(index, experiments=experiments)
-    return time.perf_counter() - t0
+    return {"wall_s": time.perf_counter() - t0,
+            "maxrss_mb": resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
 def measure_tier1() -> dict:
@@ -138,9 +144,12 @@ def main(argv=None) -> int:
     tables = {}
     for index in range(1, 8):
         runs = [_child("table", str(index)) for _ in range(REPEATS)]
-        tables[str(index)] = {"median": statistics.median(runs), "runs": runs}
-        print(f"table {index}: {tables[str(index)]['median']:.3f} s",
-              flush=True)
+        walls = [run["wall_s"] for run in runs]
+        tables[str(index)] = {"median": statistics.median(walls),
+                              "runs": walls,
+                              "maxrss_mb": [run["maxrss_mb"] for run in runs]}
+        print(f"table {index}: {tables[str(index)]['median']:.3f} s, peak "
+              f"{max(tables[str(index)]['maxrss_mb']):.1f} MB", flush=True)
     report = {"machine": _child("machine"),
               "lfa_tables_s": tables,
               "kernel_timings": _child("kernels"),
@@ -148,7 +157,7 @@ def main(argv=None) -> int:
     if args.experiments:
         report["tables_with_experiments_s"] = {}
         for index in range(1, 8):
-            wall = _child("table", str(index), "experiments")
+            wall = _child("table", str(index), "experiments")["wall_s"]
             report["tables_with_experiments_s"][str(index)] = wall
             print(f"table {index} with experiments: {wall:.3f} s",
                   flush=True)

@@ -8,13 +8,16 @@ vectors, and of one V-cycle (``Multigrid.cycle``, interior-shaped).
 The smoother is Chebyshev on [0.25, 2]; operator costs do not depend on
 the interval.  Each kernel runs once untimed (the coarsest solve is set
 up on first use), then repeatedly for at least ``--seconds`` and at least
-five times.  The last column is the minor page faults per plain
-``apply_operator``, whose full-size output glibc maps afresh while it is
-above the adaptive mmap threshold (until the process has freed a larger
-array), so each call faults it in again.  A smoothing step allocates no
-full-size A v (its update is fused into the operator's blocks), so only
-the smooth's three work vectors can fault.  The configurations run in a
-fixed order, so every run sees the same allocator history.
+five times.  The last three columns are the minor page faults per call
+of each kernel.  A plain ``apply_operator`` returns a fresh full-size
+array, which glibc maps afresh while it is above the adaptive mmap
+threshold, so each call can fault it in again.  Every other work vector
+(residuals, the ping-pong vector a smooth does not return, padded
+copies, the operator's blocks) is a shared work vector that stays
+mapped, so a smooth can fault only on the vector it returns, and a
+V-cycle on its smooths' results, its transfers and its own result.  The
+configurations run in a fixed order, so every run sees the same
+allocator history.
 
 A second table times the coarsest layer on the two-grid k = 1 coarsest
 levels 127^2 (255^2 fine, both coarse modes) and 15^3 (31^3 fine,
@@ -62,7 +65,8 @@ SECONDS = 2.0
 
 def kernel_rows(seconds: float = SECONDS):
     """Yield one row per configuration: (label, apply_operator ms, smooth
-    ms, V-cycle ms, minor page faults per apply_operator)."""
+    ms, V-cycle ms, and the minor page faults per apply_operator, per
+    smooth and per V-cycle)."""
     for dimension, n, k, degree in CONFIGS:
         spec = CycleSpec(kind=V_CYCLE, k=k, pre=1, post=1,
                          smoother=SmootherSpec(CHEBYSHEV, degree, 0.25, 2.0))
@@ -71,13 +75,14 @@ def kernel_rows(seconds: float = SECONDS):
         u = np.random.default_rng(0).standard_normal(mg.shape)
         f = np.zeros(mg.shape)
         padded_u, padded_f = fine.pad(u), fine.pad(f)
-        (apply_ms, faults), (smooth_ms, _), (cycle_ms, _) = [
+        (apply_ms, apply_faults), (smooth_ms, smooth_faults), \
+            (cycle_ms, cycle_faults) = [
             median_ms(fn, seconds) for fn in (
                 lambda: apply_operator(fine, padded_u),
                 lambda: mg.smooth(0, padded_f, padded_u),
                 lambda: mg.cycle(f, u))]
-        yield (f"{dimension}D n={n} k={k} deg {degree}",
-               apply_ms, smooth_ms, cycle_ms, faults)
+        yield (f"{dimension}D n={n} k={k} deg {degree}", apply_ms,
+               smooth_ms, cycle_ms, apply_faults, smooth_faults, cycle_faults)
 
 
 def coarsest_rows(seconds: float = SECONDS):
@@ -102,11 +107,11 @@ def main() -> None:
                     help="minimum timed seconds per kernel")
     args = ap.parse_args()
     print(f"{'config (median ms)':<22}{'apply_operator':>16}{'smooth':>10}"
-          f"{'V-cycle':>10}{'faults/apply':>14}")
-    for label, apply_ms, smooth_ms, cycle_ms, faults in kernel_rows(
-            args.seconds):
-        print(f"{label:<22}{apply_ms:>16.3f}{smooth_ms:>10.3f}"
-              f"{cycle_ms:>10.3f}{faults:>14.0f}")
+          f"{'V-cycle':>10}{'faults/apply':>14}{'faults/smooth':>15}"
+          f"{'faults/cycle':>14}")
+    for label, *ms, apply_f, smooth_f, cycle_f in kernel_rows(args.seconds):
+        print(f"{label:<22}{ms[0]:>16.3f}{ms[1]:>10.3f}{ms[2]:>10.3f}"
+              f"{apply_f:>14.0f}{smooth_f:>15.0f}{cycle_f:>14.0f}")
     print(f"\n{'coarsest (median ms)':<22}{'set-up':>10}{'solve':>10}"
           f"{'solver':>10}")
     for label, setup_ms, solve_ms, name in coarsest_rows(args.seconds):

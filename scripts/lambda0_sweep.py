@@ -40,7 +40,7 @@ def main() -> None:
     family = FAMILY_ALIASES[args.family]
     lam0_lfa, lam1 = lambda_bounds(stencil, JACOBI, args.k, sampling)
     lam1 = args.lambda1 or lam1
-    lows, _ = sample_frequencies(stencil.geometry, args.k, sampling)
+    lows = sample_frequencies(stencil.geometry, args.k, sampling)
 
     rows = []
     for lam0 in np.geomspace(lam0_lfa / 4, lam1 / 2, args.points):

@@ -409,7 +409,7 @@ def rho_two_grid(cfg: TwoGridConfig) -> float:
     points, which removes most of the lattice-resolution bias.
     """
     blocks = BlockEvaluator(cfg)
-    lows, _ = sample_frequencies(cfg.stencil.geometry, cfg.k, cfg.sampling)
+    lows = sample_frequencies(cfg.stencil.geometry, cfg.k, cfg.sampling)
     return _swept_rho(blocks, cfg.smoother, lows, blocks.batches(lows), 3,
                       200)
 
@@ -433,7 +433,7 @@ def optimal_lambda0_two_grid(cfg: TwoGridConfig
                             cfg.sampling)
     seed = max(min(seed, lam1 * 0.5), floor)
     blocks = BlockEvaluator(cfg)
-    lows, _ = sample_frequencies(cfg.stencil.geometry, cfg.k, cfg.sampling)
+    lows = sample_frequencies(cfg.stencil.geometry, cfg.k, cfg.sampling)
     batches = blocks.batches(lows)
 
     @lru_cache(maxsize=None)

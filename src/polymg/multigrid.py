@@ -33,6 +33,18 @@ comes in a context variable (``_fused``), so each application stays the
 call ``apply_operator(level, u)`` that tracers count.  The public
 API (``Multigrid.cycle``, ``a_norm``, ``measure_asymptotic_rate``) keeps
 interior-shaped arrays.
+
+Work vectors that are dead once their call returns (a block and its
+scratch in ``apply_operator``, the smoother's residual and the ping-pong
+vector it does not return, the cycle's residual and padded inputs, the
+A-norm's padded copy) come from one cache of (2, size) arrays keyed by
+size, dtype and slot (``_scratch``), which every hierarchy shares and
+holds while it lives.  A steady-state smooth allocates only the vector
+it returns, and a cycle only its smooths' results, its transfers'
+outputs and its own result, so few enough bytes churn that a pass
+does not depend on what the process freed before (glibc's adaptive mmap
+and trim thresholds).  The cache is not locked: a process runs one cycle
+at a time.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+import weakref
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache, partial, reduce
@@ -62,6 +75,21 @@ CYCLE_KINDS = (TWO_GRID, V_CYCLE, W_CYCLE)
 CHUNK = 2**15
 #: epilogue(start, stop, block) of the running ``apply_operator``, or None
 _EPILOGUE: ContextVar = ContextVar("epilogue", default=None)
+
+
+#: (size, dtype, slot) -> (2, size) work vectors, while anything holds them
+_WORK: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _scratch(size: int, dtype: np.dtype = np.dtype(float),
+             slot: int = 0) -> np.ndarray:
+    """Two shared work vectors of ``size``: (2, size), contents undefined.
+    Vectors that are live at the same time take different slots; an entry
+    nothing holds is allocated afresh on its next use."""
+    work = _WORK.get((size, dtype, slot))
+    if work is None:
+        work = _WORK[size, dtype, slot] = np.empty((2, size), dtype)
+    return work
 
 
 class FlatPlan(NamedTuple):
@@ -104,12 +132,18 @@ class GridLevel:
     def padded_shape(self) -> tuple[int, ...]:
         return tuple(s + 2 for s in self.shape)
 
-    def pad(self, u: np.ndarray) -> np.ndarray:
-        """An interior-shaped vector in the padded layout (ints as floats)."""
+    def pad(self, u: np.ndarray, out: np.ndarray | None = None
+            ) -> np.ndarray:
+        """An interior-shaped vector in the padded layout (ints as floats),
+        written into the flat work vector ``out`` if one is given."""
         if u.shape != self.shape:
             raise ValueError(f"vector shape {u.shape} != level shape "
                              f"{self.shape}")
-        p = np.zeros(self.padded_shape, dtype=np.result_type(u, 1.0))
+        if out is None:
+            p = np.zeros(self.padded_shape, dtype=np.result_type(u, 1.0))
+        else:
+            p = out.reshape(self.padded_shape)
+            p.fill(0.0)
         self.interior(p)[...] = u
         return p
 
@@ -193,7 +227,7 @@ def apply_operator(level: GridLevel, u: np.ndarray) -> np.ndarray | None:
     if epilogue is None:
         out = np.empty_like(src)
         out[:lo] = out[hi:] = 0.0
-    block, scratch = np.empty((2, min(CHUNK, hi - lo)), dtype=src.dtype)
+    block, scratch = _scratch(min(CHUNK, hi - lo), src.dtype)
     for start, stop, halo in plan.split(CHUNK):
         dst = out[start:stop] if epilogue is None else block[:stop - start]
         tmp = scratch[:stop - start]
@@ -436,6 +470,12 @@ class Multigrid:
             raise ValueError(
                 f"cannot coarsen a {n}^{dimension} grid by 2^{spec.k}")
         self._coarse_solver = None
+        # the shared work vectors of its cycles live while a hierarchy does
+        sizes = [math.prod(level.padded_shape) for level in self.levels]
+        self._work = [_scratch(sizes[0], slot=1)] + [
+            _scratch(size) for size in sizes[:-1]] + [
+            _scratch(min(CHUNK, level.plan.hi - level.plan.lo))
+            for level in self.levels[:-1]]
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -456,7 +496,9 @@ class Multigrid:
         r0 = preconditioner_symbol(level.stencil, self.spec.preconditioner)
         gamma, steps = recurrence(self.spec.smoother)
         f_, u_ = f.reshape(-1), u.reshape(-1)
-        r, v, v_prev = (np.empty(f_.size) for _ in range(3))
+        r, spare = _scratch(f_.size)
+        fresh = np.empty(f_.size)  # the ping-pong ends on v after even steps
+        v, v_prev = (spare, fresh) if len(steps) % 2 else (fresh, spare)
         v[:lo] = v[hi:] = v_prev[:lo] = v_prev[hi:] = 0.0
 
         def residual(s, t, au):  # v_{-1} = 0 in v_prev
@@ -485,7 +527,7 @@ class Multigrid:
             return level.pad(self.coarse_solver.solve(level.interior(f)))
         for _ in range(self.spec.pre):
             u = self.smooth(idx, f, u)
-        r, f_ = np.empty(f.size), f.reshape(-1)  # f - A u on the flat range
+        r, f_ = _scratch(f.size)[0], f.reshape(-1)  # f - A u on the flat range
         _fused(level, u, lambda s, t, au: np.subtract(f_[s:t], au, out=r[s:t]))
         geometry, coarse = level.stencil.geometry, self.levels[idx + 1]
         rc = coarse.pad(restrict(level.interior(r.reshape(f.shape)),
@@ -494,7 +536,8 @@ class Multigrid:
         passes = 2 if self.spec.kind == W_CYCLE else 1
         for _ in range(passes):
             ec = self._cycle(idx + 1, rc, ec)
-        u = u.copy()
+        if not self.spec.pre:  # else u is the fresh vector smooth returned
+            u = u.copy()
         level.interior(u)[...] += prolongate(coarse.interior(ec),
                                              self.spec.k, geometry)
         for _ in range(self.spec.post):
@@ -506,12 +549,15 @@ class Multigrid:
         if rhs.shape != self.shape or u0.shape != self.shape:
             raise ValueError("rhs/u0 shape does not match the fine grid")
         fine = self.levels[0]
-        return np.ascontiguousarray(fine.interior(
-            self._cycle(0, fine.pad(rhs), fine.pad(u0))))
+        size = math.prod(fine.padded_shape)  # slot 1: live through _cycle
+        f = fine.pad(rhs, _scratch(size, np.result_type(rhs, 1.0), 1)[0])
+        u = fine.pad(u0, _scratch(size, np.result_type(u0, 1.0), 1)[1])
+        return np.ascontiguousarray(fine.interior(self._cycle(0, f, u)))
 
     def a_norm(self, u: np.ndarray) -> float:
         fine = self.levels[0]
-        au = fine.interior(apply_operator(fine, fine.pad(u)))
+        work = _scratch(math.prod(fine.padded_shape), np.result_type(u, 1.0))
+        au = fine.interior(apply_operator(fine, fine.pad(u, work[0])))
         # a pairwise sum: BLAS ddot would split it by the thread count
         return float(np.sqrt(np.sum(u * au)))
 

@@ -38,6 +38,8 @@ PRECONDITIONERS = (JACOBI, L1_JACOBI)
 REAL_SYMBOL_TOL = 1e-12
 #: shift, in lattice steps, of the sampled lattice off theta = 0
 OFFSET_FRACTION = 0.5
+#: lattice points per symbol evaluation of ``_lattice_x``
+LATTICE_SLAB = 2**15
 #: points per free axis of the lambda0 face search's grid (odd: the
 #: incumbent is one of them), and the window below which the search stops
 FACE_GRID = 9
@@ -126,38 +128,38 @@ class FrequencySampling:
             )
 
 
-def _lattice(dimension: int, n: int, shift: float) -> np.ndarray:
-    """The axis -pi + (j + shift) 2 pi/n, j = 0..n-1, on each of d axes."""
-    axis = -np.pi + (2 * np.pi / n) * (np.arange(n) + shift)
-    grids = np.meshgrid(*[axis] * dimension, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+def _ticks(n: int, shift: float) -> np.ndarray:
+    """The axis -pi + (j + shift) 2 pi/n, j = 0..n-1."""
+    return -np.pi + (2 * np.pi / n) * (np.arange(n) + shift)
 
 
-def frequency_lattice(geometry: GridGeometry,
-                      sampling: FrequencySampling) -> np.ndarray:
-    """Inclusive uniform lattice over (-pi, pi]^d (contains 0 and pi)."""
-    return _lattice(geometry.dimension, sampling.samples_per_axis, 1.0)
-
-
-def lattice_symbol(stencil: Stencil, kind: str, sampling: FrequencySampling
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The inclusive lattice and X~ on it.
-
-    X~ is cached per (stencil, preconditioner, sampling) and its sorted
-    distinct values over the high closure per (stencil, preconditioner,
-    sampling, k) (``high_closure_values``), both read-only; results read
-    from them are bit-identical to a full sweep.  The lattice is rebuilt.
-    """
-    x, _ = _lattice_x(stencil, kind, sampling)  # first: one lattice at a time
-    return frequency_lattice(stencil.geometry, sampling), x
+def _lattice_points(ticks: np.ndarray, dimension: int,
+                    flat: np.ndarray | int) -> np.ndarray:
+    """The points at C-order indices ``flat`` of the d-fold tensor product
+    of ``ticks``, shape flat.shape + (d,)."""
+    index = np.unravel_index(flat, (len(ticks),) * dimension)
+    return ticks[np.stack(index, axis=-1)]
 
 
 @lru_cache(maxsize=4)
 def _lattice_x(stencil: Stencil, kind: str,
                sampling: FrequencySampling) -> tuple[np.ndarray, float]:
-    """X~ on the inclusive lattice (read-only) and its minimum."""
-    x = preconditioned_symbol(stencil, kind,
-                              frequency_lattice(stencil.geometry, sampling))
+    """X~ on the inclusive lattice over (-pi, pi]^d, which contains 0 and
+    pi, in C order (read-only), and its minimum.
+
+    The lattice is never built: each ``LATTICE_SLAB`` of its points is
+    formed from the axis ticks and evaluated on its own, so the complex
+    (points x offsets) temporaries stay a few MB at any sampling.  Each
+    point is its own matvec row, so X~ is bitwise the one-shot sweep's,
+    and the imaginary-part check fails whenever its maximum over all slabs
+    does.
+    """
+    n, d = sampling.samples_per_axis, stencil.geometry.dimension
+    ticks = _ticks(n, 1.0)
+    x = np.concatenate([
+        preconditioned_symbol(stencil, kind, _lattice_points(
+            ticks, d, np.arange(start, min(start + LATTICE_SLAB, n**d))))
+        for start in range(0, n**d, LATTICE_SLAB)])
     return read_only(x), float(np.min(x))
 
 
@@ -178,8 +180,7 @@ def lattice_high_closure(dimension: int, n: int, k: int) -> np.ndarray:
     its coordinates does, so the mask is the union over the axes of each
     axis's ticks' test, broadcast without building the lattice.
     """
-    ticks = _lattice(1, n, 1.0)
-    high = high_closure_mask(k, ticks)
+    high = high_closure_mask(k, _ticks(n, 1.0)[:, None])
     mask = np.zeros((n,) * dimension, dtype=bool)
     for axis in range(dimension):
         mask |= high.reshape((n,) + (1,) * (dimension - 1 - axis))
@@ -192,21 +193,21 @@ def high_closure_mask(k: int, theta: np.ndarray) -> np.ndarray:
 
 
 def sample_frequencies(geometry: GridGeometry, k: int,
-                       sampling: FrequencySampling
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Offset uniform lattice over (-pi, pi]^d, split into (low, high).
+                       sampling: FrequencySampling) -> np.ndarray:
+    """The low box of the offset uniform lattice over (-pi, pi]^d.
 
     The lattice is shifted by OFFSET_FRACTION of a step so theta = 0 is
     never sampled; exactly (N/2^k)^d samples land in the low box, the
-    half-open (-b, b]^d with b = pi/2^k.
+    half-open (-b, b]^d with b = pi/2^k, and they are returned in the
+    lattice's C order as the tensor product of the in-box ticks.
     """
     sampling.validate_ratio(k)
-    theta = _lattice(geometry.dimension, sampling.samples_per_axis,
-                     OFFSET_FRACTION)
+    ticks = _ticks(sampling.samples_per_axis, OFFSET_FRACTION)
     b = np.pi / 2**k
     eps = 1e-12 * b
-    low = np.all((theta > -b - eps) & (theta <= b + eps), axis=-1)
-    return theta[low], theta[~low]
+    inside = ticks[(ticks > -b - eps) & (ticks <= b + eps)]
+    return _lattice_points(inside, geometry.dimension,
+                           np.arange(len(inside)**geometry.dimension))
 
 
 def _polish_max(stencil: Stencil, kind: str, theta0: np.ndarray,
@@ -346,9 +347,10 @@ def _trial_value(known: list, trials: list, i: int):
 def _lambda1(stencil: Stencil, kind: str,
              sampling: FrequencySampling) -> tuple[float, np.ndarray]:
     """max |X~| over all frequencies, polished, and its seed (read-only)."""
-    theta, x = lattice_symbol(stencil, kind, sampling)
+    x, _ = _lattice_x(stencil, kind, sampling)
     top = int(np.argmax(np.abs(x)))
-    seed = read_only(theta[top].copy())
+    seed = read_only(_lattice_points(_ticks(sampling.samples_per_axis, 1.0),
+                                     stencil.geometry.dimension, top))
     return max(abs(float(x[top])), _polish_max(stencil, kind, seed)), seed
 
 
@@ -361,10 +363,10 @@ def _face_seeds(stencil: Stencil, kind: str, k: int,
     """
     d = stencil.geometry.dimension
     b = np.pi / 2**k
-    ticks = _lattice(1, sampling.samples_per_axis, 1.0)[:, 0]
+    ticks = _ticks(sampling.samples_per_axis, 1.0)
     inside = np.flatnonzero(np.abs(ticks) <= b * (1 + 1e-12))
-    free = np.stack(np.meshgrid(*[ticks[inside]] * (d - 1), indexing="ij"),
-                    axis=-1).reshape(-1, d - 1)
+    free = _lattice_points(ticks[inside], d - 1,
+                           np.arange(len(inside) ** (d - 1)))
     faces = [(axis, sign) for axis in range(d) for sign in (-1, 1)]
     points = np.stack([np.insert(free, axis, sign * b, axis=1)
                        for axis, sign in faces])
@@ -424,7 +426,8 @@ def lambda_bounds(stencil: Stencil, kind: str, k: int,
     agree with the maximum over the high range.  lambda1 and its polish
     are cached per (stencil, preconditioner, sampling), and the high-range
     maximum, polished inside the high closure, is only computed when
-    lambda1's seed lies outside it; only then is the full lattice built.
+    lambda1's seed lies outside it.  Every lattice point any of them reads
+    comes from its flat index, so no lattice of points is ever built.
     """
     if not stencil.is_symmetric():
         raise ValueError("lambda bounds require a symmetric stencil")
@@ -443,12 +446,12 @@ def lambda_bounds(stencil: Stencil, kind: str, k: int,
     lam0 = min(float(lattice_min), float(face_min))
 
     if not high_closure_mask(k, peak):
-        theta, x = lattice_symbol(stencil, kind, sampling)
-        hi = high_closure_mask(k, theta)
-        ax = np.abs(x[hi])
+        n, d = sampling.samples_per_axis, stencil.geometry.dimension
+        hi = np.flatnonzero(lattice_high_closure(d, n, k))
+        ax = np.abs(_lattice_x(stencil, kind, sampling)[0][hi])
         seed = int(np.argmax(ax))
-        lam1_high = max(float(ax[seed]),
-                        _polish_max(stencil, kind, theta[hi][seed], k))
+        lam1_high = max(float(ax[seed]), _polish_max(
+            stencil, kind, _lattice_points(_ticks(n, 1.0), d, hi[seed]), k))
         if abs(lam1_high - lam1) > 1e-9 * lam1:
             raise ValueError(
                 f"symbol maximum {lam1:.6g} is not attained on the high range "

@@ -521,15 +521,51 @@ def transfer_nodal_table(geometry, k: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # the LFA smoothing analysis by full lattice sweeps, with no cached values,
 # and the symbol-maximum polish by SciPy's Nelder-Mead; these share the
-# symbol and check the caching and the lockstep search
+# symbol and check the caching, the slabbed lattice and the lockstep search
 # ---------------------------------------------------------------------------
+
+def _uniform_lattice(dimension: int, n: int, shift: float) -> np.ndarray:
+    """Every point (n^d, d) of the axis -pi + (j + shift) 2 pi/n,
+    j = 0..n-1, on each of d axes, in C order."""
+    axis = -np.pi + (2 * np.pi / n) * (np.arange(n) + shift)
+    grids = np.meshgrid(*[axis] * dimension, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def frequency_lattice(geometry, sampling) -> np.ndarray:
+    """Inclusive uniform lattice over (-pi, pi]^d (contains 0 and pi)."""
+    return _uniform_lattice(geometry.dimension, sampling.samples_per_axis,
+                            1.0)
+
+
+def lattice_symbol(stencil, kind: str, sampling
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The inclusive lattice and X~ on it, in one symbol evaluation."""
+    from polymg.symbols import preconditioned_symbol
+
+    theta = frequency_lattice(stencil.geometry, sampling)
+    return theta, preconditioned_symbol(stencil, kind, theta)
+
+
+def split_frequencies(geometry, k: int, sampling
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The offset lattice over (-pi, pi]^d, masked into (low, high): the
+    low box is the half-open (-b, b]^d with b = pi/2^k."""
+    from polymg.symbols import OFFSET_FRACTION
+
+    theta = _uniform_lattice(geometry.dimension, sampling.samples_per_axis,
+                             OFFSET_FRACTION)
+    b = np.pi / 2**k
+    eps = 1e-12 * b
+    low = np.all((theta > -b - eps) & (theta <= b + eps), axis=-1)
+    return theta[low], theta[~low]
+
 
 def full_sweep_smoothing_factor(stencil, spec, k: int, preconditioner: str,
                                 sampling, iterations: int = 1) -> float:
     """max |e(X~)|^iterations over every lattice point of the high closure."""
     from polymg.polynomials import error_poly
-    from polymg.symbols import (frequency_lattice, high_closure_mask,
-                                preconditioned_symbol)
+    from polymg.symbols import high_closure_mask, preconditioned_symbol
 
     theta = frequency_lattice(stencil.geometry, sampling)
     x = preconditioned_symbol(stencil, preconditioner, theta)
@@ -565,8 +601,8 @@ def two_polish_lambda_bounds(stencil, kind: str, k: int,
     on every call, by SciPy's Nelder-Mead; the face seeds are masked from
     a fresh full lattice, whose faces must be lattice planes.
     """
-    from polymg.symbols import (_face_minima, frequency_lattice,
-                                high_closure_mask, preconditioned_symbol)
+    from polymg.symbols import (_face_minima, high_closure_mask,
+                                preconditioned_symbol)
 
     theta = frequency_lattice(stencil.geometry, sampling)
     ax = np.abs(preconditioned_symbol(stencil, kind, theta))
@@ -611,8 +647,7 @@ def powell_lambda0(stencil, kind: str, k: int, sampling) -> float:
     lattice planes."""
     from scipy.optimize import minimize
 
-    from polymg.symbols import (frequency_lattice, high_closure_mask,
-                                preconditioned_symbol)
+    from polymg.symbols import high_closure_mask, preconditioned_symbol
 
     theta = frequency_lattice(stencil.geometry, sampling)
     ax = np.abs(preconditioned_symbol(stencil, kind, theta))
@@ -691,8 +726,8 @@ def per_call_lambda0_two_grid(cfg) -> tuple[float, float, bool]:
     def rho_at(lam0):
         own = with_lambda0(lam0)
         blocks = BlockEvaluator(own)
-        lows, _ = sample_frequencies(own.stencil.geometry, own.k,
-                                     own.sampling)
+        lows = sample_frequencies(own.stencil.geometry, own.k,
+                                  own.sampling)
         return _swept_rho(blocks, own.smoother, lows, blocks.batches(lows),
                           1, 60)
 

@@ -25,7 +25,7 @@ from polymg.tables import (DOCUMENTED_DISCREPANCIES,
 
 from conftest import record_acceptance
 from oracles import (ba1x_endpoint_errors, closed_form_error,
-                     remez_reciprocal)
+                     remez_reciprocal, split_frequencies)
 
 TOL = {"factor": 2e-3, "lambda0": 1e-3, "lambda0_star": 2e-3, "rho": 1e-2,
        "rate": 1.5e-2}
@@ -326,7 +326,8 @@ def test_criterion_9_property_suites(table3, table4, table5):
     # harmonic partition exactness
     geo = rectangular(1.0, 2)
     sampling = FrequencySampling(samples_per_axis=16)
-    low, high = sample_frequencies(geo, 2, sampling)
+    low = sample_frequencies(geo, 2, sampling)
+    _, high = split_frequencies(geo, 2, sampling)
     union = [tuple(np.round(t, 9)) for t0 in low
              for t in harmonic_frequencies(2, t0)]
     full = {tuple(np.round(t, 9)) for t in np.vstack([low, high])}

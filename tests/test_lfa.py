@@ -25,8 +25,8 @@ from polymg.tables import (LAMBDA1_2D, LAMBDA1_ISOSCELES, SMOOTHING_DEGREES,
 
 from oracles import (Q1_STENCIL, bilinear_weight_stencil,
                      full_sweep_smoothing_factor, per_call_lambda0_two_grid,
-                     scipy_polish_rho, transfer_nodal_table,
-                     two_polish_lambda_bounds)
+                     scipy_polish_rho, split_frequencies,
+                     transfer_nodal_table, two_polish_lambda_bounds)
 
 FD2 = build_fd_laplace(rectangular(1.0, 2))
 FD3 = build_fd_laplace(rectangular(1.0, 3))
@@ -190,7 +190,8 @@ def test_triangular_prolongation_nested_composition():
 def test_harmonic_partition(dimension, k, n):
     geo = rectangular(1.0, dimension)
     sampling = FrequencySampling(samples_per_axis=n)
-    low, high = sample_frequencies(geo, k, sampling)
+    low = sample_frequencies(geo, k, sampling)
+    _, high = split_frequencies(geo, k, sampling)
     full = {tuple(np.round(t, 9)) for t in np.vstack([low, high])}
     union = []
     for theta0 in low:
@@ -212,7 +213,7 @@ def test_harmonics_count_and_distinct():
 
 def test_harmonic_frequencies_vectorized():
     for geo, k in ((FD2.geometry, 2), (FD3.geometry, 1), (EQUI.geometry, 3)):
-        lows, _ = sample_frequencies(geo, k, FrequencySampling(16))
+        lows = sample_frequencies(geo, k, FrequencySampling(16))
         rows = np.stack([harmonic_frequencies(k, t) for t in lows])
         assert np.array_equal(harmonic_frequencies(k, lows), rows)
         batch = lows[:4].reshape(2, 2, -1)
@@ -390,7 +391,7 @@ def _sweep(stencil, k, samples, mode, nu1=1, nu2=0):
                         smoother=SmootherSpec(CHEBYSHEV, 3, 0.3, 2.0), k=k,
                         nu1=nu1, nu2=nu2, coarse_mode=mode,
                         sampling=sampling)
-    lows, _ = sample_frequencies(stencil.geometry, k, sampling)
+    lows = sample_frequencies(stencil.geometry, k, sampling)
     return BlockEvaluator(cfg), lows
 
 
@@ -494,7 +495,7 @@ def test_lockstep_polish_matches_scipy(maxiter):
             stencil=stencil, smoother=SmootherSpec(family, 3, 0.3, 2.0),
             k=k, coarse_mode=mode, sampling=sampling))
         speculated.add(bool(blocks.m_d <= lfa.SPECULATE_MAX_BLOCK))
-        lows, _ = sample_frequencies(stencil.geometry, k, sampling)
+        lows = sample_frequencies(stencil.geometry, k, sampling)
         # a start next to zero: its first vertices score 0 alike, so the
         # initial sorts meet tied values
         tied = np.array([1e-6] + [0.0] * (lows.shape[1] - 1))

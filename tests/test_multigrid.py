@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -490,6 +491,51 @@ def test_smooth_and_cycle_leave_inputs_unmodified(coarse_mode):
     f_in, u_in = f.copy(), u.copy()
     mg.cycle(f, u)
     assert np.array_equal(f, f_in) and np.array_equal(u, u_in)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_steady_state_smooth_allocates_only_its_result(degree):
+    # the residual, the ping-pong vector not returned and the operator's
+    # blocks are shared work vectors; the returned vector is a fresh array
+    spec = SmootherSpec(CHEBYSHEV, degree, 0.25, 2.0)
+    mg = Multigrid(CycleSpec(kind="v", k=1, smoother=spec), 31, 3)
+    fine = mg.levels[0]
+    f, u = (fine.pad(v) for v in np.random.default_rng(14).standard_normal(
+        (2,) + mg.shape))
+    first = mg.smooth(0, f, u)
+    want = first.copy()
+    tracemalloc.start()
+    try:
+        second = mg.smooth(0, f, u)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert second.nbytes <= current and peak < 2 * second.nbytes
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, want) and np.array_equal(second, want)
+
+
+def test_shared_work_vectors_live_while_a_hierarchy_does():
+    import gc
+
+    import polymg.multigrid as mg_module
+
+    def held():  # 25^2: the padded fine level, a size no other test uses
+        return [key for key in mg_module._WORK.keys() if key[0] == 25**2]
+
+    spec = CycleSpec(kind="v", k=1, smoother=CHEB)
+    mg, twin = Multigrid(spec, 23, 2), Multigrid(spec, 23, 2)
+    assert len(held()) == 2  # slot 0: smooth and residual; slot 1: cycle
+    assert all(any(a is b for b in twin._work) for a in mg._work)
+    rng = np.random.default_rng(15)
+    first = mg.cycle(np.zeros(mg.shape), rng.standard_normal(mg.shape))
+    want = first.copy()
+    second = twin.cycle(np.zeros(mg.shape), rng.standard_normal(mg.shape))
+    assert np.array_equal(first, want) and not np.shares_memory(first,
+                                                                 second)
+    del mg, twin
+    gc.collect()
+    assert held() == []
 
 
 def _full_range_fused(level, u, epilogue):

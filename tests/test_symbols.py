@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from polymg import (FrequencySampling, JACOBI, L1_JACOBI, Stencil,
                     lambda_bounds, preconditioned_symbol,
                     preconditioner_symbol, rectangular, sample_frequencies)
 from polymg import symbols
-from polymg.symbols import (frequency_lattice, high_closure_values,
-                            lattice_high_closure, lattice_symbol)
+from polymg.symbols import high_closure_values, lattice_high_closure
 from polymg.tables import TRI_PRESETS
 
-from oracles import (LOW_PEAK_STENCIL, naive_symbol, powell_lambda0,
-                     scipy_polish_max, two_polish_lambda_bounds)
+from oracles import (LOW_PEAK_STENCIL, Q1_STENCIL, frequency_lattice,
+                     lattice_symbol, naive_symbol, powell_lambda0,
+                     scipy_polish_max, split_frequencies,
+                     two_polish_lambda_bounds)
 
 FD2 = build_fd_laplace(rectangular(1.0, 2))
 FD3 = build_fd_laplace(rectangular(1.0, 3))
@@ -91,9 +93,22 @@ def test_preconditioned_symbol_rejects_asymmetric():
 ])
 def test_sample_frequency_counts(dimension, k, n, low, high):
     geo = rectangular(1.0, dimension)
-    lo, hi = sample_frequencies(geo, k, FrequencySampling(samples_per_axis=n))
+    sampling = FrequencySampling(samples_per_axis=n)
+    lo = sample_frequencies(geo, k, sampling)
+    _, hi = split_frequencies(geo, k, sampling)
     assert (len(lo), len(hi)) == (low, high)
     assert not np.any(np.all(lo == 0.0, axis=1))  # zero frequency excluded
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+@pytest.mark.parametrize("n", [8, 12, 20, 64])
+def test_low_box_is_the_masked_offset_lattice(dimension, n):
+    # the tensor product of the in-box ticks, in the lattice's C order
+    geo = rectangular(1.0, dimension)
+    sampling = FrequencySampling(n)
+    for k in (k for k in (1, 2, 3) if n % 2**k == 0):
+        low, _ = split_frequencies(geo, k, sampling)
+        assert np.array_equal(sample_frequencies(geo, k, sampling), low)
 
 
 def test_sample_frequencies_rejects_bad_ratio():
@@ -202,11 +217,9 @@ def test_lambda_bounds_rejects_indefinite_operator():
 def test_lattice_symbol_is_cached_and_exact():
     sampling = FrequencySampling(16)
     for stencil in (FD2, FD3, ISO):
-        theta, x = lattice_symbol(stencil, JACOBI, sampling)
-        want = frequency_lattice(stencil.geometry, sampling)
-        assert np.array_equal(theta, want)
-        assert np.array_equal(x, preconditioned_symbol(stencil, JACOBI, want))
-        assert lattice_symbol(stencil, JACOBI, sampling)[1] is x
+        x, _ = symbols._lattice_x(stencil, JACOBI, sampling)
+        assert np.array_equal(x, lattice_symbol(stencil, JACOBI, sampling)[1])
+        assert symbols._lattice_x(stencil, JACOBI, sampling)[0] is x
         assert not x.flags.writeable
 
 
@@ -289,6 +302,85 @@ def test_polish_max_matches_scipy(name, kind):
             for seed in theta[region][np.r_[order[:2], order[-2:]]]:
                 assert symbols._polish_max(stencil, kind, seed, k) == \
                     scipy_polish_max(stencil, kind, seed, k)
+
+
+#: stencils whose slabbed lattice is checked against one sweep; the
+#: low-peak and twin-peak stencils take lambda_bounds' high-range branch
+SLAB_STENCILS = {**POLISH_STENCILS, "q1": Stencil.from_dict(Q1_STENCIL),
+                 "twin-peaks": TWIN_PEAKS}
+
+
+#: the lattice caches, as imported (a test may patch their names)
+LATTICE_CACHES = (symbols._lattice_x, symbols._lambda1,
+                  symbols.high_closure_values)
+
+
+def _clear_lattice_caches():
+    for cache in LATTICE_CACHES:
+        cache.cache_clear()
+
+
+@pytest.fixture
+def cold_lattice_caches():
+    _clear_lattice_caches()
+    yield
+    _clear_lattice_caches()
+
+
+def _bounds_or_error(stencil, kind, k, sampling):
+    try:
+        return lambda_bounds(stencil, kind, k, sampling)
+    except ValueError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("kind", [JACOBI, L1_JACOBI])
+@pytest.mark.parametrize("name", list(SLAB_STENCILS))
+def test_slabbed_lattice_is_one_sweep(name, kind, cold_lattice_caches,
+                                      monkeypatch):
+    # slabs of 1000 points divide none of these lattices but 20^3 evenly
+    stencil = SLAB_STENCILS[name].normalized()
+    d = stencil.geometry.dimension
+    for n in (8, 12, 20, 64):
+        sampling = FrequencySampling(n)
+        ks = [k for k in (1, 2, 3) if n % 2**k == 0]
+        theta, want = lattice_symbol(stencil, kind, sampling)
+        assert np.array_equal(symbols._lattice_points(
+            symbols._ticks(n, 1.0), d, np.arange(n**d)), theta)
+
+        def one_sweep(stencil, kind, sampling):
+            return symbols.read_only(want.copy()), float(np.min(want))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(symbols, "_lattice_x", one_sweep)
+            _clear_lattice_caches()
+            bounds = [_bounds_or_error(stencil, kind, k, sampling)
+                      for k in ks]
+        for slab in (1000, symbols.LATTICE_SLAB):
+            monkeypatch.setattr(symbols, "LATTICE_SLAB", slab)
+            _clear_lattice_caches()
+            x, least = symbols._lattice_x(stencil, kind, sampling)
+            assert np.array_equal(x, want) and least == np.min(want)
+            seed = symbols._lambda1(stencil, kind, sampling)[1]
+            assert np.array_equal(seed, theta[np.argmax(np.abs(want))])
+            for k in ks:
+                mask = symbols.high_closure_mask(k, theta)
+                assert np.array_equal(
+                    symbols.high_closure_values(stencil, kind, sampling, k),
+                    np.unique(want[mask]))
+            assert [_bounds_or_error(stencil, kind, k, sampling)
+                    for k in ks] == bounds
+
+
+def test_cold_3d_lambda_bounds_holds_one_slab(cold_lattice_caches):
+    # a one-shot sweep's complex 64^3 x 7 temporaries peaked at 62 MB
+    tracemalloc.start()
+    try:
+        lambda_bounds(FD3, JACOBI, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_import_leaves_scipy_optimize_out():
